@@ -257,14 +257,15 @@ def eev(
     confirmed = preverified_edges(gt, s, t)
     arrival = arrival_times(gt, s, t, tb, te)
     departure = departure_times(gt, s, t, tb, te)
-    for edge in sorted(gt.edges, key=lambda e: (e[2], e[0], e[1])):
+    for edge in gt.by_ts:
         if edge in confirmed:
             continue
         path = bidir_search(edge, gt, s, t, tb, te, arrival, departure)
         if path is None:
             continue  # escaped edge proven absent from every simple path
         confirm_path(path, gt, confirmed)
-    return sorted(confirmed)
+    # Gt's own tuples in sorted order: confirmed ⊆ gt.edges.
+    return [e for e in gt.edges if e in confirmed]
 
 
 # ---------------------------------------------------------------------------

@@ -7,50 +7,40 @@ paths ``u → t`` within the window that do not pass through ``s``.
 Conventions: ``A(s) = τb - 1``, ``D(t) = τe + 1``; unreachable vertices are
 absent from the returned maps (paper: +∞ / −∞).
 
-Local kernel: label-correcting BFS with monotone scan pointers over
-timestamp-sorted neighbor lists.  ``A(u)`` only ever decreases, and the
-admissible out-edges (``τ > A(u)``) form a growing suffix of the
-descending-τ list, so a per-vertex pointer touches each edge once — the
-paper's O(n+m) bound.
+Local kernel: the one-pass earliest-arrival scan (Wu et al., *Path
+Problems in Temporal Graphs*, PVLDB 2014) over the window slice of the
+adjacency's τ-sorted edge list — each in-window edge is read once, the
+paper's O(n+m) bound.  ``D`` is ``−A`` of the time-reversed graph with
+``s`` and ``t`` swapped (:func:`repro.graph.schema.reverse_edges`).
 
-Dataflow: a min-fixpoint (resp. max-fixpoint) label propagation expressed as
-iterative DataFrame joins.  Arrival strictly increases along a path, so the
-fixpoint is reached in at most θ rounds; we also stop as soon as a round
-changes nothing.
+Dataflow: a min-fixpoint label propagation expressed as iterative
+DataFrame joins.  Arrival strictly increases along a path, so the fixpoint
+is reached in at most θ rounds; we also stop as soon as a round changes
+nothing.  ``D`` is again the fixpoint on the reversed edge DataFrame.
 """
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.adjacency import TemporalAdjacency
+from repro.graph.schema import Edge, reverse_df, reverse_edges
 
 
-def _first_le_desc(lst, val: int) -> int:
-    """First index of a τ-descending list with τ ≤ val (binary search)."""
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid][0] > val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _first_ge_asc(lst, val: int) -> int:
-    """First index of a τ-ascending list with τ ≥ val (binary search)."""
-    lo, hi = 0, len(lst)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if lst[mid][0] < val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+def _earliest_arrival(
+    stream: Iterable[Edge], s: int, t: int, start: int, blocked: frozenset
+) -> Dict[int, int]:
+    """One pass over τ-ascending edges: the first ``(u, v, τ)`` with
+    ``A(u) < τ`` sets ``A(v)``.  Every path into ``u`` before τ uses earlier
+    edges, so ``A(u)`` is final when such an edge is read; the strict
+    ``<`` keeps equal-τ edges from chaining."""
+    A: Dict[int, int] = {s: start}
+    for u, v, ts in stream:
+        if v not in A and v != t and v not in blocked and A.get(u, ts) < ts:
+            A[v] = ts
+    return A
 
 
 def arrival_times(
@@ -61,46 +51,14 @@ def arrival_times(
     te: int,
     blocked: frozenset = frozenset(),
 ) -> Dict[int, int]:
-    """Earliest arrival A(·) from ``s`` avoiding ``t`` — paper Alg. 3, forward.
+    """Earliest arrival A(·) from ``s`` avoiding ``t`` — paper Alg. 3.
 
     Returns ``{u: A(u)}`` for every reachable ``u`` (including ``A(s)=τb-1``);
     ``t`` never receives a label (paths must not pass through it, Alg. 3 L6).
-    On first visit the scan pointer starts past the τ > τe prefix (binary
-    search) so out-of-window edges are never touched — the pointer then only
-    moves forward, so each in-window edge is consumed once.
-
     ``blocked`` vertices are treated as absent (EEV uses this to bound
     reachability around a partially claimed path).
     """
-    A: Dict[int, int] = {s: tb - 1}
-    ptr: Dict[int, int] = {}
-    q = deque([s])
-    in_q = {s}
-    inf = te + 1
-    while q:
-        u = q.popleft()
-        in_q.discard(u)
-        lst = adj.out_edges(u)  # descending τ
-        i = ptr.get(u)
-        if i is None:
-            i = _first_le_desc(lst, te)
-        au = A[u]
-        n = len(lst)
-        while i < n:
-            ts, v = lst[i]
-            if ts <= au:
-                break  # remaining edges have τ ≤ A(u); resume if A(u) drops
-            i += 1  # edge consumed permanently (A(u) only decreases)
-            if v == t or v in blocked:
-                continue
-            if ts >= A.get(v, inf):
-                continue
-            A[v] = ts
-            if ts != te and v not in in_q:
-                q.append(v)
-                in_q.add(v)
-        ptr[u] = i
-    return A
+    return _earliest_arrival(adj.slice(tb, te), s, t, tb - 1, blocked)
 
 
 def departure_times(
@@ -111,39 +69,13 @@ def departure_times(
     te: int,
     blocked: frozenset = frozenset(),
 ) -> Dict[int, int]:
-    """Latest departure D(·) toward ``t`` avoiding ``s`` — Alg. 3, backward.
+    """Latest departure D(·) toward ``t`` avoiding ``s`` — Alg. 3 on Gᴿ.
 
-    Mirror of :func:`arrival_times`, including ``blocked`` semantics.
+    ``D(t) = τe+1``; same ``blocked`` semantics as :func:`arrival_times`.
     """
-    D: Dict[int, int] = {t: te + 1}
-    ptr: Dict[int, int] = {}
-    q = deque([t])
-    in_q = {t}
-    neg = tb - 1
-    while q:
-        u = q.popleft()
-        in_q.discard(u)
-        lst = adj.in_edges(u)  # ascending τ
-        i = ptr.get(u)
-        if i is None:
-            i = _first_ge_asc(lst, tb)
-        du = D[u]
-        n = len(lst)
-        while i < n:
-            ts, v = lst[i]
-            if ts >= du:
-                break  # remaining edges have τ ≥ D(u); resume if D(u) grows
-            i += 1
-            if v == s or v in blocked:
-                continue
-            if ts <= D.get(v, neg):
-                continue
-            D[v] = ts
-            if ts != tb and v not in in_q:
-                q.append(v)
-                in_q.add(v)
-        ptr[u] = i
-    return D
+    rev = reverse_edges(adj.slice(tb, te))
+    A_rev = _earliest_arrival(rev, t, s, -(te + 1), blocked)
+    return {v: -a for v, a in A_rev.items()}
 
 
 def polarity_times(
@@ -213,39 +145,6 @@ def arrival_times_df(
 def departure_times_df(
     spark: SparkSession, edges: DataFrame, s: int, t: int, tb: int, te: int
 ) -> DataFrame:
-    """Distributed D(·): columns ``(v, departure)`` — mirror of arrival."""
-    win = edges.where(
-        (F.col("ts") >= F.lit(int(tb))) & (F.col("ts") <= F.lit(int(te)))
-    )
-    win = win.where((F.col("src") != F.lit(int(s))) & (F.col("dst") != F.lit(int(s))))
-    labels = spark.createDataFrame([(int(t), int(te) + 1)], "v long, departure long")
-    labels = labels.localCheckpoint(eager=True)
-    for _ in range(_theta(tb, te)):
-        cand = (
-            win.join(labels, win.dst == labels.v)
-            .where(F.col("ts") < F.col("departure"))
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.max("ts").alias("cand"))
-        )
-        merged = (
-            labels.join(cand, "v", "full_outer")
-            .select(
-                "v",
-                F.greatest(
-                    F.coalesce("departure", F.lit(int(tb) - 1)),
-                    F.coalesce("cand", F.lit(int(tb) - 1)),
-                ).alias("departure"),
-            )
-        )
-        merged = merged.localCheckpoint(eager=True)
-        changed = (
-            merged.join(labels, "v", "left_anti").count()
-            + merged.alias("m")
-            .join(labels.alias("l"), "v")
-            .where(F.col("m.departure") > F.col("l.departure"))
-            .count()
-        )
-        labels = merged
-        if changed == 0:
-            break
-    return labels
+    """Distributed D(·): columns ``(v, departure)`` — arrival on Gᴿ."""
+    arrival = arrival_times_df(spark, reverse_df(edges), t, s, -te, -tb)
+    return arrival.select("v", (-F.col("arrival")).alias("departure"))

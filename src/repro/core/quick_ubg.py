@@ -22,22 +22,28 @@ from repro.core.polarity import polarity_times
 def quick_ubg_edges(
     edges: Iterable[Edge], A: Dict[int, int], D: Dict[int, int]
 ) -> List[Edge]:
-    """Filter an edge list by Lemma 1 given precomputed polarity maps."""
+    """Filter an edge list by Lemma 1 given precomputed polarity maps.
+
+    Kept edges are the input's own tuples, in input order.  An unlabeled
+    endpoint defaults to τ, which fails the strict test.
+    """
     out = []
-    for u, v, ts in edges:
-        au = A.get(u)
-        dv = D.get(v)
-        if au is not None and dv is not None and au < ts < dv:
-            out.append((u, v, ts))
+    for e in edges:
+        u, v, ts = e
+        if A.get(u, ts) < ts < D.get(v, ts):
+            out.append(e)
     return out
 
 
 def quick_ubg(
     adj: TemporalAdjacency, s: int, t: int, tb: int, te: int
 ) -> TemporalAdjacency:
-    """QuickUBG for one query: polarity times (Alg. 3) + Lemma-1 filter."""
+    """QuickUBG for one query: polarity times (Alg. 3) + Lemma-1 filter.
+
+    ``A(u) ≥ τb-1`` and ``D(v) ≤ τe+1``, so only the window slice can pass.
+    """
     A, D = polarity_times(adj, s, t, tb, te)
-    return TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
+    return TemporalAdjacency(quick_ubg_edges(adj.slice(tb, te), A, D))
 
 
 def quick_ubg_df(

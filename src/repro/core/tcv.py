@@ -11,12 +11,12 @@ admits the recursive sweep of Alg. 4:
 
 Entries are stored only at the timestamps in ``T_in(u, Gq)`` (resp.
 ``T_out(u, Gq)``); Lemma 5 makes other timestamps a floor/ceiling lookup.
-The sweep processes ``Gq`` edges in ascending (resp. descending) timestamp
-order so that every looked-up entry is already final, and applies the
-Lemma-7 pruning: once an entry collapses to ``{u}`` the vertex is
-*completed* — all later (resp. earlier) entries would equal ``{u}``, and
-the floor/ceiling lookup finding the stored ``{u}`` entry keeps lookups
-transparent to the pruning.
+The sweep reads ``Gq.by_ts`` in ascending τ, so every looked-up entry is
+already final, and applies the Lemma-7 pruning: once an entry collapses to
+``{u}`` the vertex is *completed* — all later entries would equal ``{u}``,
+and the floor lookup finding the stored ``{u}`` entry keeps lookups
+transparent to the pruning.  ``TCV_.(·, t)`` is the same sweep over the
+time-reversed Gq with ``s`` and ``t`` swapped, τ negated back.
 
 Entry tables map ``u -> [(τ, frozenset), ...]`` with τ ascending for the
 source side and descending for the target side (the order the sweep appends
@@ -24,12 +24,13 @@ in).  Lists are at most θ long, so lookups scan linearly.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.adjacency import TemporalAdjacency
+from repro.graph.schema import Edge, reverse_df, reverse_edges
 
 TcvEntries = Dict[int, List[Tuple[int, FrozenSet[int]]]]
 
@@ -64,19 +65,18 @@ def lookup_target(
     return None
 
 
-def tcv_from_source(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
-    """Alg. 4 forward sweep: entries of ``TCV_.(s, ·)`` keyed by T_in(·, Gq)."""
+def _sweep(stream: Iterable[Edge], s: int, t: int) -> TcvEntries:
+    """Alg. 4 over τ-ascending edges: entries of ``TCV_.(s, ·)``."""
     entries: TcvEntries = {}
     completed = set()
-    for u_src, u_dst, ts in sorted(gq.edges, key=lambda e: (e[2], e[0], e[1])):
-        u, v = u_dst, u_src  # edge e(v, u, τ) into u
+    for v, u, ts in stream:  # edge e(v, u, τ) into u
         if u == t or u == s or u in completed:
             continue
         base = lookup_source(entries, s, v, ts - 1)
         if base is None:
             # Every Gq edge's source has an in-entry at A(v) ≤ τ-1 (Lemma 4);
             # reaching here means the input was not a genuine QuickUBG.
-            raise AssertionError(f"no TCV entry for source {v} before {ts}")
+            raise AssertionError(f"no TCV entry for {v} before {ts}")
         cand = base | {u}
         lst = entries.setdefault(u, [])
         if lst and lst[-1][0] == ts:
@@ -89,29 +89,16 @@ def tcv_from_source(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
     return entries
 
 
+def tcv_from_source(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
+    """Alg. 4 forward sweep: entries of ``TCV_.(s, ·)`` keyed by T_in(·, Gq)."""
+    return _sweep(gq.by_ts, s, t)
+
+
 def tcv_to_target(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
-    """Alg. 4 backward sweep: entries of ``TCV_.(·, t)`` keyed by T_out(·, Gq)."""
-    entries: TcvEntries = {}
-    completed = set()
-    for u_src, u_dst, ts in sorted(
-        gq.edges, key=lambda e: (-e[2], e[0], e[1])
-    ):
-        u, v = u_src, u_dst  # edge e(u, v, τ) out of u
-        if u == s or u == t or u in completed:
-            continue
-        base = lookup_target(entries, t, v, ts + 1)
-        if base is None:
-            raise AssertionError(f"no TCV entry for target {v} after {ts}")
-        cand = base | {u}
-        lst = entries.setdefault(u, [])
-        if lst and lst[-1][0] == ts:
-            lst[-1] = (ts, lst[-1][1] & cand)
-        else:
-            prev = lst[-1][1] if lst else None
-            lst.append((ts, cand if prev is None else prev & cand))
-        if lst[-1][1] == frozenset((u,)):
-            completed.add(u)
-    return entries
+    """Entries of ``TCV_.(·, t)`` keyed by T_out(·, Gq), τ descending: the
+    forward sweep on Gᴿ from ``t``."""
+    entries = _sweep(reverse_edges(gq.by_ts), t, s)
+    return {u: [(-ts, vset) for ts, vset in lst] for u, lst in entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +107,13 @@ def tcv_to_target(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
 #
 # State: a DataFrame (u, ts, vset: array<long>) holding one row per entry.
 # The sweep iterates the ≤ θ distinct window timestamps of Gq in order; each
-# round is a pair of joins (floor-entry lookup via max_by / ceiling via
-# min_by) plus a per-vertex intersection reduction using the higher-order
-# aggregate over collected candidate arrays.  The Lemma-7 pruning is skipped
-# (pure optimization): once an entry equals {u}, the recursion keeps it at
-# {u} forever because every candidate contains u, so stored values agree
-# with the kernel's *lookup* semantics at every timestamp.
+# round is a join (floor-entry lookup via max_by) plus a per-vertex
+# intersection reduction using the higher-order aggregate over collected
+# candidate arrays; the target side runs it on the reversed Gq.  The Lemma-7
+# pruning is skipped (pure optimization): once an entry equals {u}, the
+# recursion keeps it at {u} forever because every candidate contains u, so
+# stored values agree with the kernel's *lookup* semantics at every
+# timestamp.
 
 _TCV_SCHEMA = "u long, ts long, vset array<long>"
 
@@ -191,58 +179,7 @@ def tcv_from_source_df(
 def tcv_to_target_df(
     spark: SparkSession, gq: DataFrame, s: int, t: int
 ) -> DataFrame:
-    """Distributed backward sweep; rows ``(u, ts, vset)`` for τ ∈ T_out(u, Gq)."""
-    gq = gq.localCheckpoint(eager=True)
-    ts_list = [
-        r[0] for r in gq.select("ts").distinct().orderBy(F.desc("ts")).collect()
-    ]
-    state = spark.createDataFrame([], _TCV_SCHEMA)
-    for tau in ts_list:
-        edges_t = gq.where(
-            (F.col("ts") == F.lit(int(tau)))
-            & (F.col("src") != F.lit(int(s)))
-            & (F.col("src") != F.lit(int(t)))
-        )
-        prev = (
-            state.where(F.col("ts") >= F.lit(int(tau) + 1))
-            .groupBy("u")
-            .agg(F.min_by("vset", "ts").alias("pset"))
-        )
-        dst_prev = prev.select(F.col("u").alias("_pu"), F.col("pset").alias("_ps"))
-        cand = (
-            edges_t.join(dst_prev, edges_t.dst == dst_prev._pu, "left")
-            .select(
-                F.col("src").alias("_u"),
-                F.when(
-                    F.col("dst") == F.lit(int(t)),
-                    F.array().cast("array<long>"),
-                )
-                .otherwise(F.coalesce(F.col("_ps"), F.array(F.col("dst"))))
-                .alias("_base"),
-            )
-            .select(
-                F.col("_u"),
-                F.array_union("_base", F.array(F.col("_u"))).alias("_cand"),
-            )
-        )
-        new_rows = (
-            cand.groupBy("_u")
-            .agg(F.collect_list("_cand").alias("_sets"))
-            .select(
-                F.col("_u").alias("u"),
-                F.expr(
-                    "aggregate(slice(_sets, 2, size(_sets) - 1), _sets[0],"
-                    " (a, x) -> array_intersect(a, x))"
-                ).alias("nset"),
-            )
-            .join(prev, "u", "left")
-            .select(
-                "u",
-                F.lit(int(tau)).alias("ts"),
-                F.when(F.col("pset").isNull(), F.col("nset"))
-                .otherwise(F.array_intersect("pset", "nset"))
-                .alias("vset"),
-            )
-        )
-        state = state.unionByName(new_rows).localCheckpoint(eager=True)
-    return state
+    """Distributed backward sweep; rows ``(u, ts, vset)`` for τ ∈ T_out(u, Gq):
+    the forward sweep on Gᴿ from ``t``."""
+    rows = tcv_from_source_df(spark, reverse_df(gq), t, s)
+    return rows.select("u", (-F.col("ts")).alias("ts"), "vset")

@@ -39,9 +39,10 @@ def tight_ubg(
     if tcv_t is None:
         tcv_t = tcv_to_target(gq, s, t)
     keep = []
-    for u, v, ts in gq.edges:
+    for e in gq.edges:
+        u, v, ts = e
         if u == s or v == t:
-            keep.append((u, v, ts))
+            keep.append(e)
             continue
         su = lookup_source(tcv_s, s, u, ts - 1)
         tv = lookup_target(tcv_t, t, v, ts + 1)
@@ -50,7 +51,7 @@ def tight_ubg(
                 f"missing TCV entry for Gq edge ({u},{v},{ts}) — input not a Gq"
             )
         if not (su & tv):
-            keep.append((u, v, ts))
+            keep.append(e)
     return TemporalAdjacency(keep)
 
 

@@ -53,7 +53,7 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     """Run the full VUG kernel for one query on a local adjacency."""
     t0 = time.perf_counter()
     A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-    gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
+    gq = TemporalAdjacency(quick_ubg_edges(adj.slice(q.tb, q.te), A, D))
     t1 = time.perf_counter()
     tcv_s = tcv_from_source(gq, q.s, q.t)
     tcv_t = tcv_to_target(gq, q.s, q.t)

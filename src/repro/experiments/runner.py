@@ -26,8 +26,7 @@ from repro.baselines.enumeration import (
 from repro.baselines.ep import EP_VARIANTS, ep_run
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
 from repro.core.eev import eev
-from repro.core.polarity import polarity_times
-from repro.core.quick_ubg import quick_ubg_edges
+from repro.core.quick_ubg import quick_ubg
 from repro.core.tight_ubg import tight_ubg
 from repro.core.vug import vug_local
 from repro.graph.adjacency import TemporalAdjacency
@@ -105,8 +104,7 @@ def query_metrics(
         t0 = time.perf_counter()
         tg = tg_tsg(adj, q.s, q.t, q.tb, q.te)
         t1 = time.perf_counter()
-        A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-        gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
+        gq = quick_ubg(adj, q.s, q.t, q.tb, q.te)
         t2 = time.perf_counter()
         gt = tight_ubg(gq, q.s, q.t)
         t3 = time.perf_counter()
@@ -124,9 +122,7 @@ def query_metrics(
         )
     elif algo == "EXP6":
         # EEV vs enumeration, both applied to the same Gt (paper Exp-6).
-        A, D = polarity_times(adj, q.s, q.t, q.tb, q.te)
-        gq = TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))
-        gt = tight_ubg(gq, q.s, q.t)
+        gt = tight_ubg(quick_ubg(adj, q.s, q.t, q.tb, q.te), q.s, q.t)
         t0 = time.perf_counter()
         tspg = eev(gt, q.s, q.t, q.tb, q.te)
         t1 = time.perf_counter()

@@ -1,28 +1,28 @@
 """Timestamp-sorted adjacency used by the per-query local kernels.
 
-The paper's O(n+m) algorithms rely on neighbor lists sorted by timestamp with
-monotone scan pointers (Alg. 3's "pointer in N_out(u)").  We store, per
-vertex:
+Two views of one temporal edge set:
 
-* ``out_desc[u]`` — out-neighbors ``(τ, v)`` sorted by **descending** τ: the
-  earliest-arrival sweep consumes the admissible suffix ``τ > A(u)`` and
-  since ``A(u)`` only decreases, the pointer over this order moves forward
-  monotonically, touching each edge once.
-* ``in_asc[u]`` — in-neighbors ``(τ, v)`` sorted by **ascending** τ: the
-  latest-departure sweep consumes ``τ < D(u)``; ``D(u)`` only increases, so
-  the ascending pointer is likewise monotone.
-
-These two orders are also exactly what the optimized bidirectional DFS
-(Alg. 7) needs: forward search explores out-neighbors in non-ascending
-temporal order and backward search explores in-neighbors in non-descending
-order.
+* ``by_ts`` — every edge in one list sorted by τ (ties in ``(u, v)``
+  order).  The phases that touch the whole window are single passes over a
+  slice of it: polarity times (the one-pass earliest-arrival scan of Wu et
+  al., PVLDB 2014), the Lemma-1 filter, the TCV sweep and EEV's edge order.
+  Their backward forms run the same pass over the time-reversed stream
+  (:func:`repro.graph.schema.reverse_edges`).
+* Per-vertex neighbor lists ``(τ, w)``: out-neighbors by **descending** τ
+  and in-neighbors by **ascending** τ.  These are the orders the
+  bidirectional DFS (Alg. 7) explores — forward latest-first, backward
+  earliest-first — and what Lemma-10/11 confirmation reads.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
 from repro.graph.schema import Edge
+
+_TS = itemgetter(2)
 
 
 class TemporalAdjacency:
@@ -30,6 +30,8 @@ class TemporalAdjacency:
 
     def __init__(self, edges: Iterable[Edge]):
         self.edges: List[Edge] = sorted(set(edges))
+        # Stable sort of the (u, v, τ)-sorted edges: (τ, u, v) order.
+        self.by_ts: List[Edge] = sorted(self.edges, key=_TS)
         out: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         inc: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         verts = set()
@@ -59,6 +61,11 @@ class TemporalAdjacency:
     def m(self) -> int:
         return len(self.edges)
 
+    def slice(self, tb: int, te: int) -> List[Edge]:
+        """Edges with ``tb ≤ τ ≤ te``, in ``by_ts`` order."""
+        lo = bisect_left(self.by_ts, tb, key=_TS)
+        return self.by_ts[lo : bisect_right(self.by_ts, te, lo, key=_TS)]
+
     def out_edges(self, u: int) -> List[Tuple[int, int]]:
         """Out-neighbors ``(τ, v)`` of ``u``, descending τ."""
         return self.out_desc.get(u, [])
@@ -82,4 +89,4 @@ class TemporalAdjacency:
 
     def window(self, tb: int, te: int) -> "TemporalAdjacency":
         """Adjacency of the projected graph within ``[tb, te]``."""
-        return TemporalAdjacency(e for e in self.edges if tb <= e[2] <= te)
+        return TemporalAdjacency(self.slice(tb, te))

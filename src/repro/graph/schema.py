@@ -14,7 +14,7 @@ dataflow operates on a DataFrame with this schema.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -81,3 +81,25 @@ def project_window_df(edges: DataFrame, tb: int, te: int) -> DataFrame:
 def project_window(edges: Iterable[Edge], tb: int, te: int) -> List[Edge]:
     """Kernel-side interval projection (dtTSG)."""
     return [e for e in edges if tb <= e[2] <= te]
+
+
+# Time reversal maps G to Gᴿ = {(v, u, −τ)}.  A temporal path s → t in G
+# within [τb, τe] is a path t → s in Gᴿ within [−τe, −τb], so every
+# backward phase (latest departure, TCV toward t) is its forward twin run
+# on Gᴿ with s and t swapped and τ negated back.  Negating τ needs
+# |τ| < 2^63 − 1 on the int64 dataflow columns, as do the τe + 1 and
+# τb − 1 sentinels.
+
+
+def reverse_edges(by_ts: Sequence[Edge]) -> Iterator[Edge]:
+    """Gᴿ of a τ-ascending edge list, again τ-ascending."""
+    return ((v, u, -ts) for u, v, ts in reversed(by_ts))
+
+
+def reverse_df(edges: DataFrame) -> DataFrame:
+    """Gᴿ of an edge DataFrame: ``dst → src, src → dst, −ts``."""
+    return edges.select(
+        F.col("dst").alias("src"),
+        F.col("src").alias("dst"),
+        (-F.col("ts")).alias("ts"),
+    )

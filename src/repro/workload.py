@@ -21,12 +21,22 @@ from repro.graph.adjacency import TemporalAdjacency
 
 @dataclass(frozen=True)
 class Query:
-    """One tspG query: source, target, inclusive time interval."""
+    """One tspG query: source, target, inclusive time interval.
+
+    ``s = t`` is refused (a path back to ``s`` is a cycle, not a simple
+    path), and so is an empty interval ``τb > τe``.
+    """
 
     s: int
     t: int
     tb: int
     te: int
+
+    def __post_init__(self):
+        if self.s == self.t:
+            raise ValueError(f"query source and target are both {self.s}")
+        if self.tb > self.te:
+            raise ValueError(f"empty query interval [{self.tb}, {self.te}]")
 
     @property
     def theta(self) -> int:

@@ -159,6 +159,14 @@ def test_vug_dataflow_end_to_end(spark, edges_df):
     assert spark_edges_to_list(tspg) == EXPECTED_TSPG
 
 
+@pytest.mark.parametrize("bad", [(0, 0, 1, 2), (0, 1, 2, 1)])
+def test_vug_dataflow_refuses_bad_query(spark, bad):
+    # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window.
+    df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 0, 2)]))
+    with pytest.raises(ValueError):
+        vug_dataflow(spark, df, Query(*bad))
+
+
 def test_vug_dataflow_vs_duckdb_oracle(spark, edges_df):
     tspg = vug_dataflow(spark, edges_df, Q)
     assert_equivalent(

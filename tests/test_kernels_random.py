@@ -183,8 +183,7 @@ _edge_strategy = st.lists(
 @given(edges=_edge_strategy, s=st.integers(0, 7), t=st.integers(0, 7),
        tb=st.integers(1, 8), span=st.integers(0, 7))
 def test_hypothesis_vug_equals_brute(edges, s, t, tb, span):
-    edges = [e for e in edges if e[0] != e[1]]
-    if not edges or s == t:
+    if s == t:
         return
     adj = TemporalAdjacency(edges)
     te = min(8, tb + span)
@@ -198,8 +197,7 @@ def test_hypothesis_vug_equals_brute(edges, s, t, tb, span):
 @given(edges=_edge_strategy, s=st.integers(0, 7), t=st.integers(0, 7),
        tb=st.integers(1, 8), span=st.integers(0, 7))
 def test_hypothesis_gq_equals_tg_and_contains_tspg(edges, s, t, tb, span):
-    edges = [e for e in edges if e[0] != e[1]]
-    if not edges or s == t:
+    if s == t:
         return
     adj = TemporalAdjacency(edges)
     te = min(8, tb + span)
@@ -207,3 +205,25 @@ def test_hypothesis_gq_equals_tg_and_contains_tspg(edges, s, t, tb, span):
     assert gq.edges == tg_tsg(adj, s, t, tb, te).edges
     tspg, _ = tspg_by_enumeration(adj, s, t, tb, te)
     assert set(tspg) <= set(gq.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=_edge_strategy, s=st.integers(0, 7), t=st.integers(0, 7),
+       tb=st.integers(1, 8), span=st.integers(0, 7),
+       blocked=st.frozensets(st.integers(0, 7), max_size=4))
+def test_hypothesis_polarity_with_blocked_equals_brute(edges, s, t, tb, span,
+                                                       blocked):
+    """A blocked vertex is absent: no edge may enter it (arrival) or leave
+    it (departure); the start vertex keeps its label either way."""
+    if s == t:
+        return
+    adj = TemporalAdjacency(edges)
+    te = min(8, tb + span)
+    into_free = [e for e in adj.edges if e[1] not in blocked]
+    out_of_free = [e for e in adj.edges if e[0] not in blocked]
+    assert arrival_times(adj, s, t, tb, te, blocked) == brute_arrival(
+        into_free, s, t, tb, te
+    )
+    assert departure_times(adj, s, t, tb, te, blocked) == brute_departure(
+        out_of_free, s, t, tb, te
+    )

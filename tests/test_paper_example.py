@@ -16,6 +16,7 @@ from repro.core.tcv import (
 )
 from repro.core.tight_ubg import tight_ubg
 from repro.core.vug import vug_local
+from repro.graph.adjacency import TemporalAdjacency
 from repro.workload import Query
 
 from tests.example_graph import (
@@ -150,6 +151,13 @@ class TestEndToEnd:
         res = vug_local(adj, Query(S, T, TB, TE))
         assert res.edges == EXPECTED_TSPG
         assert res.sizes == {"gq": 8, "gt": 5, "tspg": 4}
+
+    @pytest.mark.parametrize("bad", [(0, 0, 1, 2), (0, 1, 2, 1)])
+    def test_bad_query_refused(self, bad):
+        # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window.
+        adj = TemporalAdjacency([(0, 1, 1), (1, 0, 2)])
+        with pytest.raises(ValueError):
+            vug_local(adj, Query(*bad))
 
     def test_vertices_of_tspg(self, adj):
         res = vug_local(adj, Query(S, T, TB, TE))

@@ -65,6 +65,12 @@ class TestAdjacency:
         adj = TemporalAdjacency([(1, 2, 3), (1, 4, 7)])
         assert [ts for ts, _ in adj.out_asc(1)] == [3, 7]
 
+    def test_by_ts_and_slice(self):
+        adj = TemporalAdjacency([(3, 1, 5), (1, 2, 5), (2, 9, 1), (0, 4, 8)])
+        assert adj.by_ts == [(2, 9, 1), (1, 2, 5), (3, 1, 5), (0, 4, 8)]
+        assert adj.slice(5, 7) == [(1, 2, 5), (3, 1, 5)]
+        assert adj.slice(9, 12) == []
+
     def test_n_m_vertices(self):
         adj = TemporalAdjacency([(1, 2, 3), (2, 3, 4)])
         assert (adj.n, adj.m) == (3, 2)
