@@ -3,18 +3,21 @@
 ``query_metrics`` runs one algorithm for one query on a local adjacency and
 returns a flat metric dict (wide schema shared by all algorithms, unused
 fields NaN/-1).  ``run_workload_local`` loops in-process;
-``run_workload_spark`` parallelizes the (query × algorithm) grid across the
-cluster with ``applyInPandas``, broadcasting the edge list and measuring
-phase times inside the tasks — the paper's "total query time over 1000
-queries" is then the sum of in-task times.
+``run_workload_spark`` repartitions the (query × algorithm) grid into
+``max(2, defaultParallelism)`` tasks and runs them with ``mapInPandas``,
+broadcasting the edge list and measuring phase times inside the tasks — the
+paper's "total query time over 1000 queries" is then the sum of in-task
+times.  A repartition by number is never coalesced by adaptive execution, so
+the tasks really run in parallel.  Each task freezes the garbage collector's
+view of its heap while it times queries (see ``run_workload_spark``).
 """
 from __future__ import annotations
 
+import gc
 import math
 import time
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Sequence
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -38,6 +41,8 @@ METRIC_SPARK_SCHEMA = (
     " n_ub long, n_gq long, n_gt long, n_tspg long, n_paths long,"
     " paths_capped long, n_dt long, n_es long, n_tg long"
 )
+
+GRID_SPARK_SCHEMA = "qid long, s long, t long, tb long, te long, algo string"
 
 _METRIC_DEFAULTS: Dict[str, object] = {
     "inf": 0,
@@ -181,22 +186,18 @@ def run_workload_spark(
     edges_pdf: pd.DataFrame,
     queries: Sequence[Query],
     algos: Sequence[str],
-    *,
-    n_groups: Optional[int] = None,
     **caps,
 ) -> pd.DataFrame:
     """Distribute the (query × algorithm) grid across the cluster.
 
-    Each Spark task rebuilds the adjacency once from the broadcast edge
-    list, then runs its share of (query, algo) cells, so per-phase timings
-    are measured in-task and summable like the paper's totals.
+    The grid is split round-robin into ``max(2, defaultParallelism)``
+    tasks.  Each non-empty task rebuilds the adjacency once from the
+    broadcast edge list, then runs its cells, so per-phase timings are
+    measured in-task and summable like the paper's totals.
     """
-    if n_groups is None:
-        n_groups = max(2, spark.sparkContext.defaultParallelism)
+    n_tasks = max(2, spark.sparkContext.defaultParallelism)
     qpdf = queries_to_pdf(list(queries))
     grid = qpdf.merge(pd.DataFrame({"algo": list(algos)}), how="cross")
-    # Round-robin over the grid spreads heavy algos across groups.
-    grid["gid"] = np.arange(len(grid), dtype="int64") % n_groups
     edges_bc = spark.sparkContext.broadcast(
         (
             edges_pdf["src"].to_numpy("int64"),
@@ -204,24 +205,30 @@ def run_workload_spark(
             edges_pdf["ts"].to_numpy("int64"),
         )
     )
+    columns = [f.split()[0] for f in METRIC_SPARK_SCHEMA.split(", ")]
 
-    def run_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run_part(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        cells = [rec for pdf in batches for rec in pdf.itertuples(index=False)]
+        if not cells:
+            return
         src, dst, ts = edges_bc.value
         adj = TemporalAdjacency(zip(src.tolist(), dst.tolist(), ts.tolist()))
-        rows = []
-        for rec in pdf.itertuples(index=False):
-            q = Query(int(rec.s), int(rec.t), int(rec.tb), int(rec.te))
-            row = query_metrics(adj, q, str(rec.algo), **caps)
-            row["qid"] = int(rec.qid)
-            rows.append(row)
-        out = pd.DataFrame(rows)
-        return out[
-            [f.split()[0] for f in METRIC_SPARK_SCHEMA.split(", ")]
-        ]
+        # Full collections skip frozen objects: no walk of this heap mid-query.
+        gc.freeze()
+        try:
+            rows = []
+            for rec in cells:
+                q = Query(int(rec.s), int(rec.t), int(rec.tb), int(rec.te))
+                row = query_metrics(adj, q, str(rec.algo), **caps)
+                row["qid"] = int(rec.qid)
+                rows.append(row)
+        finally:
+            gc.unfreeze()  # a reused worker's collector is left as it was
+        yield pd.DataFrame(rows)[columns]
 
-    sdf = spark.createDataFrame(grid)
+    sdf = spark.createDataFrame(grid, GRID_SPARK_SCHEMA)
     return (
-        sdf.groupBy("gid")
-        .applyInPandas(run_group, schema=METRIC_SPARK_SCHEMA)
+        sdf.repartition(n_tasks)
+        .mapInPandas(run_part, METRIC_SPARK_SCHEMA)
         .toPandas()
     )

@@ -15,6 +15,7 @@ from repro.experiments.perf import (
     exp7_rows,
 )
 from repro.experiments.runner import (
+    METRIC_SPARK_SCHEMA,
     query_metrics,
     run_workload_local,
     run_workload_spark,
@@ -108,6 +109,43 @@ class TestWorkloadRunners:
         dist = run_workload_spark(spark, pdf, queries, ["VUG", "RATIOS"])
         assert len(dist) == 2 * len(queries)
         assert sorted(dist["qid"].unique()) == list(range(len(queries)))
+
+    def test_spark_no_queries(self, spark, d1):
+        pdf, _, _ = d1
+        dist = run_workload_spark(spark, pdf, [], ["VUG"])
+        assert len(dist) == 0
+        assert list(dist.columns) == [
+            f.split()[0] for f in METRIC_SPARK_SCHEMA.split(", ")
+        ]
+
+    def test_spark_fewer_cells_than_tasks(self, spark, d1):
+        pdf, _, queries = d1
+        dist = run_workload_spark(spark, pdf, queries[:1], ["VUG"])
+        assert list(dist["qid"]) == [0]
+
+    def test_spark_grid_runs_in_parallel_tasks(self, spark, d1):
+        """The stage running the grid keeps max(2, defaultParallelism)
+        tasks: adaptive execution must not coalesce it into one."""
+        pdf, _, queries = d1
+        sc = spark.sparkContext
+        group = "test_spark_grid_runs_in_parallel_tasks"
+        prev = sc.getLocalProperty("spark.jobGroup.id")
+        sc.setJobGroup(group, group)
+        try:
+            run_workload_spark(spark, pdf, queries, ["VUG", "RATIOS"])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", prev)
+        st = sc.statusTracker()
+        stages = [
+            sid
+            for j in st.getJobIdsForGroup(group)
+            for sid in st.getJobInfo(j).stageIds
+        ]
+        # The grid runs in the last stage: it reads the grid's shuffle.
+        grid_stage = st.getStageInfo(max(stages))
+        n_tasks = max(2, sc.defaultParallelism)
+        assert grid_stage.numTasks == n_tasks
+        assert grid_stage.numCompletedTasks == n_tasks
 
 
 class TestTables:
