@@ -1,8 +1,8 @@
-"""Distributed VUG pipeline benchmark (full DataFrame path, one query).
+"""Spark VUG pipeline benchmark (``vug_dataflow``, one query).
 
-Uses D8 at test scale: its compressed timestamp domain (|T| = 2θ = 20)
-keeps the TCV timestamp-sweep to a bounded number of Spark rounds while
-still exercising every phase of the dataflow.
+Uses D8 at test scale, the dataset of the ``dataflow_query`` workload: its
+Gq holds enough edges that TightUBG prunes and EEV has escaped edges to
+search, so every phase of the dataflow does work.
 """
 from benchmarks._bench_common import one_shot
 

@@ -1,8 +1,9 @@
-"""Run one tspG query through the fully distributed VUG pipeline.
+"""Run one tspG query through the Spark VUG pipeline.
 
-Demonstrates the DataFrame-only path (polarity fixpoint joins → QuickUBG
-filter → TCV sweeps → TightUBG filter → parallel EEV) on a bench dataset
-and cross-checks it against the local kernel.
+Demonstrates the dataflow path (polarity fixpoint joins → QuickUBG filter
+in Catalyst, then TightUBG on the collected Gq and EEV with parallel
+escaped-edge searches) on a bench dataset and cross-checks it against the
+local kernel.
 """
 from _common import emit, get_spark, make_parser, parse_scale
 

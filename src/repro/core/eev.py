@@ -31,11 +31,17 @@ from typing import Iterable, List, Optional, Set
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.polarity import arrival_times, departure_times
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import EDGE_COLUMNS, EDGE_SCHEMA, Edge
+from repro.graph.schema import (
+    EDGE_SCHEMA,
+    Edge,
+    edges_to_pdf,
+    edges_to_spark,
+    pdf_to_edge_list,
+    spark_edges_to_list,
+)
 
 _Polarity = Optional[dict]
 
@@ -280,81 +286,47 @@ def eev_df(
     t: int,
     tb: int,
     te: int,
-    n_partitions: int = None,
 ) -> DataFrame:
-    """Distributed Alg. 6: Lemma-2/10 verification as joins, escaped edges
-    verified in parallel ``mapInPandas`` tasks against a broadcast ``Gt``.
+    """Distributed Alg. 6 on the collected ``Gt``: the kernel's Lemma-2/10
+    pre-verification, then the escaped edges verified in parallel
+    ``mapInPandas`` tasks against a broadcast ``Gt``.
 
     Each task applies Lemma-11 batch confirmation within its partition;
     confirmations are unioned distinct, so the result set is identical to
     the sequential algorithm (only duplicate search work differs).
     """
-    gt_df = gt_df.localCheckpoint(eager=True)
-    lem2 = gt_df.where(
-        (F.col("src") == F.lit(int(s))) | (F.col("dst") == F.lit(int(t)))
-    )
-    s_out = (
-        gt_df.where(F.col("src") == F.lit(int(s)))
-        .groupBy(F.col("dst").alias("_u"))
-        .agg(F.min("ts").alias("_smin"))
-    )
-    l10a = gt_df.join(
-        s_out,
-        (gt_df.src == s_out._u) & (gt_df.ts > s_out._smin),
-        "leftsemi",
-    )
-    t_in = (
-        gt_df.where(F.col("dst") == F.lit(int(t)))
-        .groupBy(F.col("src").alias("_v"))
-        .agg(F.max("ts").alias("_tmax"))
-    )
-    l10b = gt_df.join(
-        t_in,
-        (gt_df.dst == t_in._v) & (gt_df.ts < t_in._tmax),
-        "leftsemi",
-    )
-    pre = (
-        lem2.select(*EDGE_COLUMNS)
-        .unionByName(l10a.select(*EDGE_COLUMNS))
-        .unionByName(l10b.select(*EDGE_COLUMNS))
-        .distinct()
-        .localCheckpoint(eager=True)
-    )
-    unverified = gt_df.join(pre, on=EDGE_COLUMNS, how="left_anti")
-
-    gt_rows = [
-        (int(r.src), int(r.dst), int(r.ts))
-        for r in gt_df.select(*EDGE_COLUMNS).collect()
-    ]
+    gt_rows = spark_edges_to_list(gt_df)
+    pre = preverified_edges(TemporalAdjacency(gt_rows), s, t)
+    escaped = [e for e in gt_rows if e not in pre]
     bc = spark.sparkContext.broadcast(gt_rows)
     s_, t_, tb_, te_ = int(s), int(t), int(tb), int(te)
 
     def verify(batches: Iterable[pd.DataFrame]):
+        edges = sorted(
+            (e for pdf in batches for e in pdf_to_edge_list(pdf)),
+            key=lambda e: (e[2], e[0], e[1]),
+        )
+        if not edges:
+            return
         gt_local = TemporalAdjacency(bc.value)
         arrival = arrival_times(gt_local, s_, t_, tb_, te_)
         departure = departure_times(gt_local, s_, t_, tb_, te_)
         confirmed: Set[Edge] = set()
-        searched: Set[Edge] = set()
-        for pdf in batches:
-            edges = sorted(
-                zip(pdf["src"].tolist(), pdf["dst"].tolist(), pdf["ts"].tolist()),
-                key=lambda e: (e[2], e[0], e[1]),
+        for edge in edges:
+            if edge in confirmed:
+                continue
+            path = bidir_search(
+                edge, gt_local, s_, t_, tb_, te_, arrival, departure
             )
-            for edge in edges:
-                edge = (int(edge[0]), int(edge[1]), int(edge[2]))
-                if edge in confirmed or edge in searched:
-                    continue
-                searched.add(edge)
-                path = bidir_search(
-                    edge, gt_local, s_, t_, tb_, te_, arrival, departure
-                )
-                if path is not None:
-                    confirm_path(path, gt_local, confirmed)
-        yield pd.DataFrame(sorted(confirmed), columns=EDGE_COLUMNS).astype("int64")
+            if path is not None:
+                confirm_path(path, gt_local, confirmed)
+        yield edges_to_pdf(confirmed)
 
-    if n_partitions is None:
-        n_partitions = max(2, spark.sparkContext.defaultParallelism // 2)
-    confirmed_df = unverified.repartition(n_partitions).mapInPandas(
-        verify, schema=EDGE_SCHEMA
+    n_tasks = max(2, spark.sparkContext.defaultParallelism // 2)
+    confirmed_df = (
+        edges_to_spark(spark, edges_to_pdf(escaped))
+        .repartition(n_tasks)
+        .mapInPandas(verify, schema=EDGE_SCHEMA)
     )
-    return pre.unionByName(confirmed_df).distinct()
+    pre_df = edges_to_spark(spark, edges_to_pdf(pre))
+    return pre_df.unionByName(confirmed_df).distinct()

@@ -115,6 +115,7 @@ def arrival_times_df(
             .groupBy(F.col("dst").alias("v"))
             .agg(F.min("ts").alias("cand"))
         )
+        # A vertex changed when it is new or its candidate beats its label.
         merged = (
             labels.join(cand, "v", "full_outer")
             .select(
@@ -123,21 +124,14 @@ def arrival_times_df(
                     F.coalesce("arrival", F.lit(int(te) + 1)),
                     F.coalesce("cand", F.lit(int(te) + 1)),
                 ).alias("arrival"),
+                F.coalesce(
+                    F.col("cand") < F.col("arrival"), F.col("arrival").isNull()
+                ).alias("_changed"),
             )
+            .localCheckpoint(eager=True)
         )
-        merged = merged.localCheckpoint(eager=True)
-        # Converged when no vertex got a new/smaller label.
-        changed = (
-            merged.alias("m")
-            .join(labels.alias("l"), "v", "left_anti")
-            .count()
-            + merged.alias("m")
-            .join(labels.alias("l"), "v")
-            .where(F.col("m.arrival") < F.col("l.arrival"))
-            .count()
-        )
-        labels = merged
-        if changed == 0:
+        labels = merged.drop("_changed")
+        if merged.where("_changed").isEmpty():
             break
     return labels
 

@@ -26,11 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import Edge, reverse_df, reverse_edges
+from repro.graph.schema import Edge, reverse_edges
 
 TcvEntries = Dict[int, List[Tuple[int, FrozenSet[int]]]]
 
@@ -99,87 +96,3 @@ def tcv_to_target(gq: TemporalAdjacency, s: int, t: int) -> TcvEntries:
     forward sweep on Gᴿ from ``t``."""
     entries = _sweep(reverse_edges(gq.by_ts), t, s)
     return {u: [(-ts, vset) for ts, vset in lst] for u, lst in entries.items()}
-
-
-# ---------------------------------------------------------------------------
-# Distributed dataflow version
-# ---------------------------------------------------------------------------
-#
-# State: a DataFrame (u, ts, vset: array<long>) holding one row per entry.
-# The sweep iterates the ≤ θ distinct window timestamps of Gq in order; each
-# round is a join (floor-entry lookup via max_by) plus a per-vertex
-# intersection reduction using the higher-order aggregate over collected
-# candidate arrays; the target side runs it on the reversed Gq.  The Lemma-7
-# pruning is skipped (pure optimization): once an entry equals {u}, the
-# recursion keeps it at {u} forever because every candidate contains u, so
-# stored values agree with the kernel's *lookup* semantics at every
-# timestamp.
-
-_TCV_SCHEMA = "u long, ts long, vset array<long>"
-
-
-def tcv_from_source_df(
-    spark: SparkSession, gq: DataFrame, s: int, t: int
-) -> DataFrame:
-    """Distributed forward sweep; rows ``(u, ts, vset)`` for τ ∈ T_in(u, Gq)."""
-    gq = gq.localCheckpoint(eager=True)
-    ts_list = [r[0] for r in gq.select("ts").distinct().orderBy("ts").collect()]
-    state = spark.createDataFrame([], _TCV_SCHEMA)
-    for tau in ts_list:
-        edges_t = gq.where(
-            (F.col("ts") == F.lit(int(tau)))
-            & (F.col("dst") != F.lit(int(t)))
-            & (F.col("dst") != F.lit(int(s)))
-        )
-        prev = (
-            state.where(F.col("ts") <= F.lit(int(tau) - 1))
-            .groupBy("u")
-            .agg(F.max_by("vset", "ts").alias("pset"))
-        )
-        src_prev = prev.select(F.col("u").alias("_pu"), F.col("pset").alias("_ps"))
-        cand = (
-            edges_t.join(src_prev, edges_t.src == src_prev._pu, "left")
-            .select(
-                F.col("dst").alias("_u"),
-                F.when(
-                    F.col("src") == F.lit(int(s)),
-                    F.array().cast("array<long>"),
-                )
-                .otherwise(F.coalesce(F.col("_ps"), F.array(F.col("src"))))
-                .alias("_base"),
-            )
-            .select(
-                F.col("_u"),
-                F.array_union("_base", F.array(F.col("_u"))).alias("_cand"),
-            )
-        )
-        new_rows = (
-            cand.groupBy("_u")
-            .agg(F.collect_list("_cand").alias("_sets"))
-            .select(
-                F.col("_u").alias("u"),
-                F.expr(
-                    "aggregate(slice(_sets, 2, size(_sets) - 1), _sets[0],"
-                    " (a, x) -> array_intersect(a, x))"
-                ).alias("nset"),
-            )
-            .join(prev, "u", "left")
-            .select(
-                "u",
-                F.lit(int(tau)).alias("ts"),
-                F.when(F.col("pset").isNull(), F.col("nset"))
-                .otherwise(F.array_intersect("pset", "nset"))
-                .alias("vset"),
-            )
-        )
-        state = state.unionByName(new_rows).localCheckpoint(eager=True)
-    return state
-
-
-def tcv_to_target_df(
-    spark: SparkSession, gq: DataFrame, s: int, t: int
-) -> DataFrame:
-    """Distributed backward sweep; rows ``(u, ts, vset)`` for τ ∈ T_out(u, Gq):
-    the forward sweep on Gᴿ from ``t``."""
-    rows = tcv_from_source_df(spark, reverse_df(gq), t, s)
-    return rows.select("u", (-F.col("ts")).alias("ts"), "vset")

@@ -12,11 +12,7 @@ Both lookups always succeed on a genuine ``Gq``: ``u``'s in-edge at
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import EDGE_COLUMNS
 from repro.core.tcv import (
     TcvEntries,
     lookup_source,
@@ -53,35 +49,3 @@ def tight_ubg(
         if not (su & tv):
             keep.append(e)
     return TemporalAdjacency(keep)
-
-
-def tight_ubg_df(
-    gq: DataFrame, tcv_s: DataFrame, tcv_t: DataFrame, s: int, t: int
-) -> DataFrame:
-    """Distributed TightUBG filter over Gq given distributed TCV tables."""
-    special = gq.where(
-        (F.col("src") == F.lit(int(s))) | (F.col("dst") == F.lit(int(t)))
-    )
-    inner = gq.where(
-        (F.col("src") != F.lit(int(s))) & (F.col("dst") != F.lit(int(t)))
-    )
-    ls = tcv_s.select(
-        F.col("u").alias("_su"), F.col("ts").alias("_sts"), F.col("vset").alias("_sv")
-    )
-    lt = tcv_t.select(
-        F.col("u").alias("_tu"), F.col("ts").alias("_tts"), F.col("vset").alias("_tv")
-    )
-    with_s = (
-        inner.join(ls, (inner.src == ls._su) & (ls._sts < inner.ts))
-        .groupBy(*EDGE_COLUMNS)
-        .agg(F.max_by("_sv", "_sts").alias("sset"))
-    )
-    with_t = (
-        with_s.join(lt, (with_s.dst == lt._tu) & (lt._tts > with_s.ts))
-        .groupBy(*EDGE_COLUMNS, "sset")
-        .agg(F.min_by("_tv", "_tts").alias("tset"))
-    )
-    kept = with_t.where(
-        F.size(F.array_intersect("sset", "tset")) == 0
-    ).select(*EDGE_COLUMNS)
-    return special.select(*EDGE_COLUMNS).unionByName(kept)

@@ -2,8 +2,12 @@
 
 ``vug_local`` is the exact per-query kernel with per-phase wall timings —
 the unit of work that the evaluation harness parallelizes across queries.
-``vug_dataflow`` is the fully distributed pipeline (DataFrame in,
-tspG-edge DataFrame out) built from the ``*_df`` phase implementations.
+``vug_dataflow`` is the per-query Spark pipeline (DataFrame in, tspG-edge
+DataFrame out).  Catalyst runs only the phase that touches the whole graph:
+the window projection, the polarity fixpoints and the Lemma-1 filter.  Gq
+is small (paper TABLE II), so it is collected and TightUBG runs the kernel
+on it; EEV pre-verifies the collected Gt with the kernel and searches its
+escaped edges in parallel ``mapInPandas`` tasks.
 """
 from __future__ import annotations
 
@@ -20,15 +24,15 @@ from repro.core.polarity import (
     polarity_times,
 )
 from repro.core.quick_ubg import quick_ubg_df, quick_ubg_edges
-from repro.core.tcv import (
-    tcv_from_source,
-    tcv_from_source_df,
-    tcv_to_target,
-    tcv_to_target_df,
-)
-from repro.core.tight_ubg import tight_ubg, tight_ubg_df
+from repro.core.tcv import tcv_from_source, tcv_to_target
+from repro.core.tight_ubg import tight_ubg
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import Edge
+from repro.graph.schema import (
+    Edge,
+    edges_to_pdf,
+    edges_to_spark,
+    spark_edges_to_list,
+)
 from repro.workload import Query
 
 
@@ -80,11 +84,10 @@ def quick_ubg_dataflow(
 def tight_ubg_dataflow(
     spark: SparkSession, gq: DataFrame, q: Query
 ) -> DataFrame:
-    """Distributed TightUBG: TCV sweeps + Lemma-9 filter."""
-    gq = gq.localCheckpoint(eager=True)
-    tcv_s = tcv_from_source_df(spark, gq, q.s, q.t)
-    tcv_t = tcv_to_target_df(spark, gq, q.s, q.t)
-    return tight_ubg_df(gq, tcv_s, tcv_t, q.s, q.t)
+    """TightUBG on the collected Gq: the kernel's TCV sweeps + Lemma-9
+    filter."""
+    gt = tight_ubg(TemporalAdjacency(spark_edges_to_list(gq)), q.s, q.t)
+    return edges_to_spark(spark, edges_to_pdf(gt.edges))
 
 
 def vug_dataflow(

@@ -1,14 +1,17 @@
 """Distributed dataflow phases on the paper's running example, cross-checked
 against the hand-derived expectations and the DuckDB recursive-CTE oracle."""
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.eev import eev_df
 from repro.core.polarity import arrival_times_df, departure_times_df
 from repro.core.quick_ubg import quick_ubg_df
-from repro.core.tcv import tcv_from_source_df, tcv_to_target_df
-from repro.core.vug import quick_ubg_dataflow, tight_ubg_dataflow, vug_dataflow
+from repro.core.vug import (
+    quick_ubg_dataflow,
+    tight_ubg_dataflow,
+    vug_dataflow,
+    vug_local,
+)
+from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.duck_oracle import arrival_sql, departure_sql, tspg_sql
 from repro.graph.schema import (
     edges_to_pdf,
@@ -25,8 +28,6 @@ from tests.example_graph import (
     EXPECTED_DEPARTURE,
     EXPECTED_GQ,
     EXPECTED_GT,
-    EXPECTED_TCV_S,
-    EXPECTED_TCV_T,
     EXPECTED_TSPG,
     S,
     T,
@@ -109,40 +110,6 @@ def test_quick_ubg_df_filter_semantics(spark, edges_df):
     assert spark_edges_to_list(quick_ubg_df(edges_df, a, d)) == EXPECTED_GQ
 
 
-def _entries_from_df(df) -> dict:
-    out = {}
-    for r in df.collect():
-        out.setdefault(int(r.u), {})[int(r.ts)] = frozenset(int(x) for x in r.vset)
-    return out
-
-
-def test_tcv_source_df_matches_fig4a(spark, gq_df):
-    got = _entries_from_df(tcv_from_source_df(spark, gq_df, S, T))
-    # The dataflow skips Lemma-7 pruning, so completed vertices may carry
-    # extra {u} entries; compare through the lookup semantics instead.
-    from repro.core.tcv import lookup_source
-
-    for u, entries in got.items():
-        for ts, vset in entries.items():
-            assert lookup_source(EXPECTED_TCV_S, S, u, ts) == vset, (u, ts)
-    # Every kernel entry key must be present in the dataflow result.
-    for u, lst in EXPECTED_TCV_S.items():
-        for ts, vset in lst:
-            assert got[u][ts] == vset
-
-
-def test_tcv_target_df_matches_fig4b(spark, gq_df):
-    got = _entries_from_df(tcv_to_target_df(spark, gq_df, S, T))
-    from repro.core.tcv import lookup_target
-
-    for u, entries in got.items():
-        for ts, vset in entries.items():
-            assert lookup_target(EXPECTED_TCV_T, T, u, ts) == vset, (u, ts)
-    for u, lst in EXPECTED_TCV_T.items():
-        for ts, vset in lst:
-            assert got[u][ts] == vset
-
-
 def test_tight_ubg_dataflow_matches_fig4c(spark, gq_df):
     gt = tight_ubg_dataflow(spark, gq_df, Q)
     assert spark_edges_to_list(gt) == EXPECTED_GT
@@ -157,6 +124,23 @@ def test_eev_df_matches_fig1c(spark, gq_df):
 def test_vug_dataflow_end_to_end(spark, edges_df):
     tspg = vug_dataflow(spark, edges_df, Q)
     assert spark_edges_to_list(tspg) == EXPECTED_TSPG
+
+
+@pytest.mark.parametrize(
+    "edges, q",
+    [
+        (EDGES, Query(T, S, TB, TE)),  # t reaches nothing: empty Gq
+        (EDGES, Query(10**6, T, TB, TE)),  # unknown source: empty Gq
+        (EDGES, Query(S, T, TB, TB)),  # one-timestamp window
+        # Both Gt edges are Lemma-2 pre-verified: no edge escapes.
+        ([(0, 1, 1), (1, 2, 2)], Query(0, 2, 1, 2)),
+    ],
+    ids=["t-to-s", "unknown-source", "one-timestamp", "no-escaped-edge"],
+)
+def test_vug_dataflow_degenerate_equals_kernel(spark, edges, q):
+    df = edges_to_spark(spark, edges_to_pdf(edges))
+    want = vug_local(TemporalAdjacency(edges), q).edges
+    assert spark_edges_to_list(vug_dataflow(spark, df, q)) == want
 
 
 @pytest.mark.parametrize("bad", [(0, 0, 1, 2), (0, 1, 2, 1)])
