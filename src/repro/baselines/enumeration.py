@@ -33,16 +33,19 @@ def iter_simple_paths(
     """Yield every temporal simple path ``s → t`` within ``[τb, τe]``.
 
     Paths are yielded as edge lists; the traversal explores out-neighbors in
-    ascending temporal order.  ``max_expansions`` bounds the total number of
-    attempted edge extensions across the whole enumeration.
+    ascending temporal order, depth-first on an explicit stack of
+    ``(vertex, τ, neighbor iterator)`` frames.  ``max_expansions`` bounds
+    the total number of attempted edge extensions across the whole
+    enumeration.
     """
     expansions = 0
     path: List[Edge] = []
     visited: Set[int] = {s}
-
-    def dfs(cur: int, tcur: int) -> Iterator[List[Edge]]:
-        nonlocal expansions
-        for ts, w in adj.out_asc(cur):
+    stack = [(s, tb - 1, iter(adj.out_asc(s)))]
+    while stack:
+        frame = stack[-1]
+        cur, tcur, nbrs = frame
+        for ts, w in nbrs:
             if ts <= tcur:
                 continue
             if ts > te:
@@ -57,13 +60,16 @@ def iter_simple_paths(
             path.append((cur, w, ts))
             if w == t:
                 yield list(path)
+                path.pop()
             else:
                 visited.add(w)
-                yield from dfs(w, ts)
-                visited.discard(w)
-            path.pop()
-
-    yield from dfs(s, tb - 1)
+                stack.append((w, ts, iter(adj.out_asc(w))))
+                break
+        if stack[-1] is frame:
+            stack.pop()
+            if stack:
+                visited.discard(cur)
+                path.pop()
 
 
 def tspg_by_enumeration(

@@ -15,7 +15,8 @@ enumerating all temporal simple paths:
 BiDirSearch carries both paper optimizations: the longer half-window is
 searched first (so its vertex claims constrain the cheaper half), and
 neighbors are explored latest-first forward / earliest-first backward,
-biasing toward short paths.
+biasing toward short paths.  Both halves are one iterative DFS
+(:func:`_half`): backward is forward on Gᴿ = {(v, u, −τ)}.
 
 Implementation note beyond the paper: the DFS additionally prunes with
 *Gt-local polarity times* — a forward step to ``w`` at τ is skipped when no
@@ -27,7 +28,8 @@ dense tight graphs it removes almost all backtracking.
 """
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+import math
+from typing import Callable, Generator, Iterable, List, Optional, Set, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -46,21 +48,75 @@ from repro.graph.schema import (
 _Polarity = Optional[dict]
 
 
-class _HardFail(Exception):
-    """Second search half failed without ever being blocked by a vertex the
-    first half claimed — no first-half alternative can change that tree, so
-    the whole bidirectional search fails (conflict-directed backjumping)."""
-
-
-class _Budget(Exception):
-    """Second-half attempt exceeded its expansion budget; the caller retries
-    with claim-aware polarity pruning (same result, far smaller tree)."""
-
-
 # Expansions a second-half attempt may spend before the search escalates to
-# claim-aware pruning (recomputing a polarity map over Gt minus the first
-# half's claimed vertices, O(window edges)).
+# claim-aware pruning: the second direction's polarity map is recomputed
+# over Gt minus the first half's claims, O(window edges), and the half
+# re-runs unbudgeted (same result, far smaller tree).
 _PHASE2_BUDGET = 2000
+
+
+def _half(
+    visited: Set[int],
+    nbrs: Callable[[int], List[Tuple[int, int]]],
+    sign: int,
+    start: int,
+    ts0: int,
+    goal: int,
+    avoid: int,
+    end: int,
+    pol: _Polarity,
+    claims: frozenset = frozenset(),
+    budget: float = math.inf,
+) -> Generator[List[Edge], None, Optional[bool]]:
+    """One half of BiDirSearch: a DFS from ``start`` to ``goal`` on an
+    explicit stack.  Forward (``sign = 1``) walks ``gt.out_edges``; backward
+    (``sign = -1``) walks ``gt.in_edges``, i.e. Gᴿ's out-lists: keys
+    ``sign·τ`` strictly increase along the walk up to ``sign·end``, and
+    ``pol`` (D forward, A backward, unlabeled = ``ts0``) prunes a step to
+    ``w`` unless ``sign·pol[w] > key``.
+
+    Yields its live edge stack (G orientation) at each arrival at ``goal``.
+    Returns whether a step hit a vertex of ``claims``, or ``None`` once
+    more than ``budget`` steps were tried, leaving ``visited`` dirty.
+    """
+    if start == goal:
+        yield []
+        return False
+    hit = False
+    kend = sign * end
+    path: List[Edge] = []
+    stack = [(start, sign * ts0, iter(nbrs(start)))]
+    while stack:
+        frame = stack[-1]
+        cur, kcur, steps = frame
+        for ts, w in steps:
+            key = sign * ts
+            if key <= kcur:
+                break  # the rest of the list is no later in the walk
+            if key > kend or w == avoid:
+                continue
+            budget -= 1
+            if budget < 0:
+                return None
+            if w in visited:
+                hit = hit or w in claims
+                continue
+            e = (cur, w, ts) if sign > 0 else (w, cur, ts)
+            if w == goal:
+                path.append(e)
+                yield path
+                path.pop()
+            elif pol is None or sign * pol.get(w, ts0) > key:
+                visited.add(w)
+                path.append(e)
+                stack.append((w, key, iter(nbrs(w))))
+                break
+        if stack[-1] is frame:
+            stack.pop()
+            if stack:
+                visited.discard(cur)
+                path.pop()
+    return hit
 
 
 def bidir_search(
@@ -79,134 +135,36 @@ def bidir_search(
     ``arrival``/``departure`` are optional Gt-local polarity maps used as
     admissible dead-branch pruning (see module docstring); the result is
     identical with or without them.
+
+    The longer half-window is searched first (optimization i); each of its
+    completions is extended by a budgeted second half.  A second half that
+    fails without meeting a first-half claim fails the whole search
+    (conflict-directed backjumping).
     """
     u0, v0, ts0 = edge
     visited: Set[int] = {u0, v0}
-    f_edges: List[Edge] = []
-    b_edges: List[Edge] = []
-    dep = departure if departure is not None else {}
-    arr = arrival if arrival is not None else {}
-    prune_f = departure is not None
-    prune_b = arrival is not None
-    # Conflict tracking for the second phase: ``p2[0]`` holds the vertices
-    # claimed before the second half started, ``p2[1]`` flips to True when
-    # the second half is blocked by one of them.  ``None`` in phase one.
-    p2: list = [None, False]
-    # Remaining expansion budget of the current second-half attempt (None =
-    # unbudgeted, i.e. phase one or an escalated re-run).
-    budget: list = [None]
-
-    def _phase2(run_second, forward_is_second: bool) -> bool:
-        nonlocal dep, arr, prune_f, prune_b
-        snapshot = frozenset(visited)
-        len_f, len_b = len(f_edges), len(b_edges)
-        p2[0], p2[1] = snapshot, False
-        budget[0] = _PHASE2_BUDGET
+    # _half's arguments after ``visited``, the polarity map last.
+    fwd = (gt.out_edges, 1, v0, ts0, t, s, te, departure)
+    bwd = (gt.in_edges, -1, u0, ts0, s, t, tb, arrival)
+    first, second = (fwd, bwd) if ts0 - tb > te - ts0 else (bwd, fwd)
+    for head in _half(visited, *first):
+        claimed = frozenset(visited)
+        search = _half(visited, *second, claimed - {u0, v0}, _PHASE2_BUDGET)
         try:
-            try:
-                ok = run_second()
-            except _Budget:
-                # Unwind the aborted attempt and escalate: recompute the
-                # second direction's polarity map with the first half's
-                # claims removed, then re-run unbudgeted.  The tighter map
-                # absorbs claim conflicts, so hard-fail no longer applies.
-                del f_edges[len_f:]
-                del b_edges[len_b:]
-                visited.clear()
-                visited.update(snapshot)
-                p2[1] = True
-                budget[0] = None
-                saved = (dep, arr, prune_f, prune_b)
-                try:
-                    if forward_is_second:
-                        dep = departure_times(gt, s, t, tb, te, snapshot)
-                        prune_f = True
-                    else:
-                        arr = arrival_times(gt, s, t, tb, te, snapshot)
-                        prune_b = True
-                    ok = run_second()
-                finally:
-                    dep, arr, prune_f, prune_b = saved
-            if ok:
-                return True
-            if not p2[1]:
-                raise _HardFail  # failure independent of first-half choices
-            return False
-        finally:
-            budget[0] = None
-            p2[0] = None
-
-    def forward(cur: int, tcur: int, then_backward: bool) -> bool:
-        if cur == t:
-            if not then_backward:
-                return True
-            return _phase2(lambda: backward(u0, ts0, False), False)
-        for ts, w in gt.out_edges(cur):  # non-ascending τ (optimization ii)
-            if ts <= tcur:
-                break
-            if ts > te or w == s:
-                continue
-            if budget[0] is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise _Budget
-            if w in visited:
-                if p2[0] is not None and w != u0 and w != v0 and w in p2[0]:
-                    p2[1] = True
-                continue
-            if w != t and prune_f and dep.get(w, tb - 1) <= ts:
-                continue  # no departure w -> t after τ exists in Gt
-            f_edges.append((cur, w, ts))
-            if w != t:
-                visited.add(w)
-            if forward(w, ts, then_backward):
-                return True
-            if w != t:
-                visited.discard(w)
-            f_edges.pop()
-        return False
-
-    def backward(cur: int, tcur: int, then_forward: bool) -> bool:
-        if cur == s:
-            if not then_forward:
-                return True
-            return _phase2(lambda: forward(v0, ts0, False), True)
-        for ts, w in gt.in_edges(cur):  # non-descending τ (optimization ii)
-            if ts >= tcur:
-                break
-            if ts < tb or w == t:
-                continue
-            if budget[0] is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise _Budget
-            if w in visited:
-                if p2[0] is not None and w != u0 and w != v0 and w in p2[0]:
-                    p2[1] = True
-                continue
-            if w != s and prune_b and arr.get(w, te + 1) >= ts:
-                continue  # no arrival s -> w before τ exists in Gt
-            b_edges.append((w, cur, ts))
-            if w != s:
-                visited.add(w)
-            if backward(w, ts, then_forward):
-                return True
-            if w != s:
-                visited.discard(w)
-            b_edges.pop()
-        return False
-
-    # Optimization i): search the longer half-window first.
-    try:
-        if ts0 - tb > te - ts0:
-            ok = forward(v0, ts0, True)
-        else:
-            ok = backward(u0, ts0, True)
-    except _HardFail:
-        return None
-    if not ok:
-        return None
-    return list(reversed(b_edges)) + [edge] + f_edges
+            tail = next(search)
+        except StopIteration as stop:
+            tail, hit = None, stop.value
+            if hit is None:  # out of budget: escalate
+                visited &= claimed
+                polarity = departure_times if second is fwd else arrival_times
+                pol = polarity(gt, s, t, tb, te, claimed)
+                tail, hit = next(_half(visited, *second[:-1], pol), None), True
+        if tail is not None:
+            f, b = (head, tail) if first is fwd else (tail, head)
+            return b[::-1] + [edge] + f
+        if not hit:
+            return None
+    return None
 
 
 def confirm_path(
@@ -256,20 +214,35 @@ def preverified_edges(
     return out
 
 
+def verify_escaped(
+    gt: TemporalAdjacency,
+    s: int,
+    t: int,
+    tb: int,
+    te: int,
+    edges: Iterable[Edge],
+    confirmed: Set[Edge],
+) -> Set[Edge]:
+    """Search each of ``edges`` not yet confirmed and confirm the path found
+    with its Lemma-11 substitutes (Alg. 6 L6-19); returns ``confirmed``."""
+    arrival = arrival_times(gt, s, t, tb, te)
+    departure = departure_times(gt, s, t, tb, te)
+    for edge in edges:
+        if edge in confirmed:
+            continue
+        path = bidir_search(edge, gt, s, t, tb, te, arrival, departure)
+        if path is not None:  # else: proven absent from every simple path
+            confirm_path(path, gt, confirmed)
+    return confirmed
+
+
 def eev(
     gt: TemporalAdjacency, s: int, t: int, tb: int, te: int
 ) -> List[Edge]:
     """Exact tspG edge set from the tight upper-bound graph (Alg. 6)."""
-    confirmed = preverified_edges(gt, s, t)
-    arrival = arrival_times(gt, s, t, tb, te)
-    departure = departure_times(gt, s, t, tb, te)
-    for edge in gt.by_ts:
-        if edge in confirmed:
-            continue
-        path = bidir_search(edge, gt, s, t, tb, te, arrival, departure)
-        if path is None:
-            continue  # escaped edge proven absent from every simple path
-        confirm_path(path, gt, confirmed)
+    confirmed = verify_escaped(
+        gt, s, t, tb, te, gt.by_ts, preverified_edges(gt, s, t)
+    )
     # Gt's own tuples in sorted order: confirmed ⊆ gt.edges.
     return [e for e in gt.edges if e in confirmed]
 
@@ -309,18 +282,9 @@ def eev_df(
         if not edges:
             return
         gt_local = TemporalAdjacency(bc.value)
-        arrival = arrival_times(gt_local, s_, t_, tb_, te_)
-        departure = departure_times(gt_local, s_, t_, tb_, te_)
-        confirmed: Set[Edge] = set()
-        for edge in edges:
-            if edge in confirmed:
-                continue
-            path = bidir_search(
-                edge, gt_local, s_, t_, tb_, te_, arrival, departure
-            )
-            if path is not None:
-                confirm_path(path, gt_local, confirmed)
-        yield edges_to_pdf(confirmed)
+        yield edges_to_pdf(
+            verify_escaped(gt_local, s_, t_, tb_, te_, edges, set())
+        )
 
     n_tasks = max(2, spark.sparkContext.defaultParallelism // 2)
     confirmed_df = (

@@ -26,7 +26,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import Edge, reverse_df, reverse_edges
+from repro.graph.schema import Edge, project_window_df, reverse_df, reverse_edges
 
 
 def _earliest_arrival(
@@ -139,6 +139,10 @@ def arrival_times_df(
 def departure_times_df(
     spark: SparkSession, edges: DataFrame, s: int, t: int, tb: int, te: int
 ) -> DataFrame:
-    """Distributed D(·): columns ``(v, departure)`` — arrival on Gᴿ."""
-    arrival = arrival_times_df(spark, reverse_df(edges), t, s, -te, -tb)
+    """Distributed D(·): columns ``(v, departure)`` — arrival on Gᴿ.
+
+    Only in-window edges are reversed: negating ``τ = −2^63`` overflows.
+    """
+    rev = reverse_df(project_window_df(edges, tb, te))
+    arrival = arrival_times_df(spark, rev, t, s, -te, -tb)
     return arrival.select("v", (-F.col("arrival")).alias("departure"))

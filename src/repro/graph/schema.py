@@ -86,9 +86,10 @@ def project_window(edges: Iterable[Edge], tb: int, te: int) -> List[Edge]:
 # Time reversal maps G to Gᴿ = {(v, u, −τ)}.  A temporal path s → t in G
 # within [τb, τe] is a path t → s in Gᴿ within [−τe, −τb], so every
 # backward phase (latest departure, TCV toward t) is its forward twin run
-# on Gᴿ with s and t swapped and τ negated back.  Negating τ needs
-# |τ| < 2^63 − 1 on the int64 dataflow columns, as do the τe + 1 and
-# τb − 1 sentinels.
+# on Gᴿ with s and t swapped and τ negated back.  On the int64 dataflow
+# columns −(−2^63) overflows, so the dataflow reverses only in-window
+# edges, and its window sentinels bound the query interval
+# (:data:`repro.core.vug.TS_MIN`, :data:`~repro.core.vug.TS_MAX`).
 
 
 def reverse_edges(by_ts: Sequence[Edge]) -> Iterator[Edge]:

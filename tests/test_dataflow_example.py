@@ -36,6 +36,9 @@ from tests.example_graph import (
 )
 
 Q = Query(S, T, TB, TE)
+# The widest window whose sentinels τb − 1, τe + 1, −τe − 1, −τb + 1 fit
+# in int64.
+TS_MIN, TS_MAX = -(2**63) + 2, 2**63 - 2
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -134,8 +137,19 @@ def test_vug_dataflow_end_to_end(spark, edges_df):
         (EDGES, Query(S, T, TB, TB)),  # one-timestamp window
         # Both Gt edges are Lemma-2 pre-verified: no edge escapes.
         ([(0, 1, 1), (1, 2, 2)], Query(0, 2, 1, 2)),
+        # An out-of-window edge at the int64 floor must not be negated.
+        ([(5, 6, -(2**63)), (0, 1, 1), (1, 2, 2)], Query(0, 2, 1, 2)),
+        # The widest window whose sentinels all fit in int64.
+        (
+            [(5, 6, -(2**63)), (0, 1, TS_MIN), (1, 2, TS_MAX),
+             (5, 6, 2**63 - 1)],
+            Query(0, 2, TS_MIN, TS_MAX),
+        ),
     ],
-    ids=["t-to-s", "unknown-source", "one-timestamp", "no-escaped-edge"],
+    ids=[
+        "t-to-s", "unknown-source", "one-timestamp", "no-escaped-edge",
+        "int64-floor-edge", "int64-widest-window",
+    ],
 )
 def test_vug_dataflow_degenerate_equals_kernel(spark, edges, q):
     df = edges_to_spark(spark, edges_to_pdf(edges))
@@ -149,6 +163,23 @@ def test_vug_dataflow_refuses_bad_query(spark, bad):
     df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 0, 2)]))
     with pytest.raises(ValueError):
         vug_dataflow(spark, df, Query(*bad))
+
+
+@pytest.mark.parametrize(
+    "q", [Query(0, 2, TS_MIN - 1, 2), Query(0, 2, 1, TS_MAX + 1)],
+    ids=["tb-below", "te-above"],
+)
+def test_vug_dataflow_refuses_window_beyond_int64(spark, q):
+    # τb − 1, τe + 1 and, on Gᴿ, −τb + 1 are int64 literals in the plan.
+    df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 2, 2)]))
+    group = "int64-window"
+    spark.sparkContext.setJobGroup(group, group)
+    try:
+        with pytest.raises(ValueError):
+            vug_dataflow(spark, df, q)
+    finally:
+        spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
+    assert spark.sparkContext.statusTracker().getJobIdsForGroup(group) == []
 
 
 def test_vug_dataflow_vs_duckdb_oracle(spark, edges_df):
