@@ -11,12 +11,15 @@ Local kernel: the one-pass earliest-arrival scan (Wu et al., *Path
 Problems in Temporal Graphs*, PVLDB 2014) over the window slice of the
 adjacency's τ-sorted edge list — each in-window edge is read once, the
 paper's O(n+m) bound.  ``D`` is ``−A`` of the time-reversed graph with
-``s`` and ``t`` swapped (:func:`repro.graph.schema.reverse_edges`).
+``s`` and ``t`` swapped: the same scan over the window slice of the
+adjacency's stored Gᴿ stream (``rev_slice``).
 
 Dataflow: a min-fixpoint label propagation expressed as iterative
 DataFrame joins.  Arrival strictly increases along a path, so the fixpoint
 is reached in at most θ rounds; we also stop as soon as a round changes
-nothing.  ``D`` is again the fixpoint on the reversed edge DataFrame.
+nothing.  ``D`` is again the fixpoint on the reversed edge DataFrame.  Both
+refuse a window outside ``[TS_MIN, TS_MAX]`` with ``ValueError`` before any
+Spark job: beyond it a sentinel literal overflows int64.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import Edge, project_window_df, reverse_df, reverse_edges
+from repro.graph.schema import Edge, project_window_df, reverse_df
 
 
 def _earliest_arrival(
@@ -73,8 +76,7 @@ def departure_times(
 
     ``D(t) = τe+1``; same ``blocked`` semantics as :func:`arrival_times`.
     """
-    rev = reverse_edges(adj.slice(tb, te))
-    A_rev = _earliest_arrival(rev, t, s, -(te + 1), blocked)
+    A_rev = _earliest_arrival(adj.rev_slice(tb, te), t, s, -(te + 1), blocked)
     return {v: -a for v, a in A_rev.items()}
 
 
@@ -92,6 +94,19 @@ def _theta(tb: int, te: int) -> int:
     return te - tb + 1
 
 
+# The widest window whose int64 sentinels fit: τb − 1 and τe + 1 on G,
+# −τe − 1 and −τb + 1 on Gᴿ.
+TS_MIN, TS_MAX = -(2**63) + 2, 2**63 - 2
+
+
+def _check_int64_window(tb: int, te: int) -> None:
+    if min(tb, te) < TS_MIN or max(tb, te) > TS_MAX:
+        raise ValueError(
+            f"window [{tb}, {te}] leaves the dataflow's "
+            f"timestamp domain [{TS_MIN}, {TS_MAX}]"
+        )
+
+
 def arrival_times_df(
     spark: SparkSession, edges: DataFrame, s: int, t: int, tb: int, te: int
 ) -> DataFrame:
@@ -102,6 +117,7 @@ def arrival_times_df(
     A temporal path makes one strict timestamp step per hop, so θ rounds
     suffice; the loop exits early at the first unchanged round.
     """
+    _check_int64_window(tb, te)
     win = edges.where(
         (F.col("ts") >= F.lit(int(tb))) & (F.col("ts") <= F.lit(int(te)))
     )
@@ -143,6 +159,7 @@ def departure_times_df(
 
     Only in-window edges are reversed: negating ``τ = −2^63`` overflows.
     """
+    _check_int64_window(tb, te)
     rev = reverse_df(project_window_df(edges, tb, te))
     arrival = arrival_times_df(spark, rev, t, s, -te, -tb)
     return arrival.select("v", (-F.col("arrival")).alias("departure"))

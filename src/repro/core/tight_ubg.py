@@ -9,6 +9,8 @@ An edge ``e(u,v,τ)`` of ``Gq`` survives into ``Gt`` iff
 
 Both lookups always succeed on a genuine ``Gq``: ``u``'s in-edge at
 ``A(u) < τ`` and ``v``'s out-edge at ``D(v) > τ`` are themselves in ``Gq``.
+The entries are bitsets over ``Gq.index`` (:mod:`repro.core.tcv`), so the
+intersection is one ``&``.
 """
 from __future__ import annotations
 

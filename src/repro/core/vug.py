@@ -72,20 +72,10 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     )
 
 
-# The widest window whose int64 sentinels fit: τb − 1 and τe + 1 on G,
-# −τe − 1 and −τb + 1 on Gᴿ.
-TS_MIN, TS_MAX = -(2**63) + 2, 2**63 - 2
-
-
 def quick_ubg_dataflow(
     spark: SparkSession, edges: DataFrame, q: Query
 ) -> DataFrame:
     """Distributed QuickUBG: polarity fixpoints + Lemma-1 edge filter."""
-    if not TS_MIN <= q.tb <= q.te <= TS_MAX:
-        raise ValueError(
-            f"query interval [{q.tb}, {q.te}] leaves the dataflow's "
-            f"timestamp domain [{TS_MIN}, {TS_MAX}]"
-        )
     arrival = arrival_times_df(spark, edges, q.s, q.t, q.tb, q.te)
     departure = departure_times_df(spark, edges, q.s, q.t, q.tb, q.te)
     return quick_ubg_df(edges, arrival, departure)

@@ -14,7 +14,7 @@ dataflow operates on a DataFrame with this schema.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -86,15 +86,17 @@ def project_window(edges: Iterable[Edge], tb: int, te: int) -> List[Edge]:
 # Time reversal maps G to Gᴿ = {(v, u, −τ)}.  A temporal path s → t in G
 # within [τb, τe] is a path t → s in Gᴿ within [−τe, −τb], so every
 # backward phase (latest departure, TCV toward t) is its forward twin run
-# on Gᴿ with s and t swapped and τ negated back.  On the int64 dataflow
-# columns −(−2^63) overflows, so the dataflow reverses only in-window
-# edges, and its window sentinels bound the query interval
-# (:data:`repro.core.vug.TS_MIN`, :data:`~repro.core.vug.TS_MAX`).
+# on Gᴿ with s and t swapped and τ negated back.  The kernel's
+# TemporalAdjacency stores Gᴿ of its edge stream once (``rev_by_ts``) and
+# bisects it per window.  On the int64 dataflow columns −(−2^63)
+# overflows, so the dataflow reverses only in-window edges, and its window
+# sentinels bound the query interval (:data:`repro.core.polarity.TS_MIN`,
+# :data:`~repro.core.polarity.TS_MAX`).
 
 
-def reverse_edges(by_ts: Sequence[Edge]) -> Iterator[Edge]:
+def reverse_edges(by_ts: Sequence[Edge]) -> List[Edge]:
     """Gᴿ of a τ-ascending edge list, again τ-ascending."""
-    return ((v, u, -ts) for u, v, ts in reversed(by_ts))
+    return [(v, u, -ts) for u, v, ts in reversed(by_ts)]
 
 
 def reverse_df(edges: DataFrame) -> DataFrame:

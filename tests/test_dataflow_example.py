@@ -172,11 +172,33 @@ def test_vug_dataflow_refuses_bad_query(spark, bad):
 def test_vug_dataflow_refuses_window_beyond_int64(spark, q):
     # τb − 1, τe + 1 and, on Gᴿ, −τb + 1 are int64 literals in the plan.
     df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 2, 2)]))
-    group = "int64-window"
+    _assert_refused_without_jobs(
+        spark, "int64-window", lambda: vug_dataflow(spark, df, q)
+    )
+
+
+@pytest.mark.parametrize(
+    "polarity_df", [arrival_times_df, departure_times_df],
+    ids=["arrival", "departure"],
+)
+@pytest.mark.parametrize(
+    "tb, te", [(-(2**63), 2), (1, 2**63 - 1)], ids=["tb-int64-min", "te-int64-max"]
+)
+def test_polarity_df_refuses_window_beyond_int64(spark, polarity_df, tb, te):
+    df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 2, 2)]))
+    _assert_refused_without_jobs(
+        spark,
+        f"int64-window-{polarity_df.__name__}-{tb}-{te}",
+        lambda: polarity_df(spark, df, 0, 2, tb, te),
+    )
+
+
+def _assert_refused_without_jobs(spark, group, call):
+    """``call`` raises ``ValueError`` before running any Spark job."""
     spark.sparkContext.setJobGroup(group, group)
     try:
         with pytest.raises(ValueError):
-            vug_dataflow(spark, df, q)
+            call()
     finally:
         spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
     assert spark.sparkContext.statusTracker().getJobIdsForGroup(group) == []

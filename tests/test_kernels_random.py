@@ -14,6 +14,7 @@ from repro.core.eev import eev
 from repro.core.polarity import arrival_times, departure_times
 from repro.core.quick_ubg import quick_ubg
 from repro.core.tcv import (
+    decode,
     lookup_source,
     lookup_target,
     tcv_from_source,
@@ -132,10 +133,10 @@ def test_tcv_matches_definition(seed):
     for u in sorted(gq.vertices):
         for tau in range(q.tb, q.te + 1):
             if u not in (q.s, q.t):
-                got = lookup_source(tcv_s, q.s, u, tau)
+                got = decode(gq, lookup_source(tcv_s, q.s, u, tau))
                 want = brute_tcv_source(gq.edges, q.s, q.t, u, q.tb, tau)
                 assert got == want, (u, tau, "source")
-                got = lookup_target(tcv_t, q.t, u, tau)
+                got = decode(gq, lookup_target(tcv_t, q.t, u, tau))
                 want = brute_tcv_target(gq.edges, q.s, q.t, u, tau, q.te)
                 assert got == want, (u, tau, "target")
 

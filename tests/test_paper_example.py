@@ -9,6 +9,7 @@ from repro.core.eev import bidir_search, eev, preverified_edges
 from repro.core.polarity import arrival_times, departure_times
 from repro.core.quick_ubg import quick_ubg, quick_ubg_edges
 from repro.core.tcv import (
+    decode,
     lookup_source,
     lookup_target,
     tcv_from_source,
@@ -87,28 +88,36 @@ class TestQuickUBG:
         assert not gq.out_edges(T)
 
 
+def _decoded(gq, entries):
+    """An entry table with each bitset decoded to its vertex set."""
+    return {
+        u: [(ts, decode(gq, mask)) for ts, mask in lst]
+        for u, lst in entries.items()
+    }
+
+
 class TestTCV:
     def test_source_entries_match_fig4a(self, gq):
-        assert tcv_from_source(gq, S, T) == EXPECTED_TCV_S
+        assert _decoded(gq, tcv_from_source(gq, S, T)) == EXPECTED_TCV_S
 
     def test_target_entries_match_fig4b(self, gq):
-        assert tcv_to_target(gq, S, T) == EXPECTED_TCV_T
+        assert _decoded(gq, tcv_to_target(gq, S, T)) == EXPECTED_TCV_T
 
     def test_example7_tcv5_f_t(self, gq):
         # Example 7 walks TCV_5(f,t): {c,e,f} ∩ ({b} ∪ {f}) = {f}.
         entries = tcv_to_target(gq, S, T)
-        assert lookup_target(entries, T, F, 5) == frozenset({F})
+        assert decode(gq, lookup_target(entries, T, F, 5)) == frozenset({F})
 
     def test_lookup_source_floor_semantics(self, gq):
         entries = tcv_from_source(gq, S, T)
         # Lemma 5: TCV_5(s,c) = entry at τ=3.
-        assert lookup_source(entries, S, C, 5) == frozenset({B, C})
+        assert decode(gq, lookup_source(entries, S, C, 5)) == frozenset({B, C})
         # Before any entry: no path to c by time 2.
         assert lookup_source(entries, S, C, 2) is None
 
     def test_lookup_of_endpoints_is_empty(self, gq):
-        assert lookup_source({}, S, S, 99) == frozenset()
-        assert lookup_target({}, T, T, -1) == frozenset()
+        assert decode(gq, lookup_source({}, S, S, 99)) == frozenset()
+        assert decode(gq, lookup_target({}, T, T, -1)) == frozenset()
 
 
 class TestTightUBG:

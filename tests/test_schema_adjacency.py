@@ -1,4 +1,7 @@
 """Edge schema canonicalization and timestamp-sorted adjacency."""
+import random
+from collections import defaultdict
+
 import pandas as pd
 import pytest
 
@@ -11,8 +14,11 @@ from repro.graph.schema import (
     pdf_to_edge_list,
     project_window,
     project_window_df,
+    reverse_edges,
     spark_edges_to_list,
 )
+
+LAZY_VIEWS = ("out_desc", "in_asc", "_out_asc", "index")
 
 
 class TestSchema:
@@ -95,7 +101,63 @@ class TestAdjacency:
     def test_empty_graph(self):
         adj = TemporalAdjacency([])
         assert adj.n == 0 and adj.m == 0 and adj.max_degree() == 0
+        assert adj.rev_by_ts == [] and adj.rev_slice(-(2**63), 2**63) == []
+        assert adj.out_desc == {} and adj.in_asc == {} and adj.index == {}
+
+    def test_neighbor_lists_built_on_first_read(self):
+        adj = TemporalAdjacency([(1, 2, 3), (2, 3, 4)])
+        assert not set(LAZY_VIEWS) & set(vars(adj))
+        adj.out_edges(1)
+        assert "out_desc" in vars(adj) and "in_asc" not in vars(adj)
 
     def test_missing_vertex_neighbors(self):
         adj = TemporalAdjacency([(1, 2, 3)])
         assert adj.out_edges(99) == [] and adj.in_edges(99) == []
+
+
+# Timestamps drawn from a few values, so equal-τ ties are common, and
+# including the int64 extremes, which Python ints negate without overflow.
+_TS_POOL = [-(2**63), -5, 0, 1, 2, 3, 7, 2**63 - 1]
+
+
+def _random_graph(rng):
+    n = rng.randint(1, 8)
+    return [
+        (rng.randrange(n), rng.randrange(n), rng.choice(_TS_POOL))
+        for _ in range(rng.randint(0, 30))
+    ]
+
+
+# Window ends inside, between and beyond the data; τb > τe gives empty
+# windows.
+_WINDOW_ENDS = _TS_POOL + [-(2**64), 4, 2**64]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reversed_stream_matches_reverse_edges(seed):
+    rng = random.Random(seed)
+    adj = TemporalAdjacency(_random_graph(rng))
+    assert adj.rev_by_ts == reverse_edges(adj.by_ts)
+    for _ in range(20):
+        tb, te = rng.choice(_WINDOW_ENDS), rng.choice(_WINDOW_ENDS)
+        assert adj.rev_slice(tb, te) == reverse_edges(adj.slice(tb, te))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_lazy_views_match_reference_build(seed):
+    edges = _random_graph(random.Random(seed))
+    out, inc = defaultdict(list), defaultdict(list)
+    for u, v, ts in set(edges):
+        out[u].append((ts, v))
+        inc[v].append((ts, u))
+    adj = TemporalAdjacency(edges)
+    assert adj.out_desc == {
+        u: sorted(l, key=lambda p: (-p[0], p[1])) for u, l in out.items()
+    }
+    assert adj.in_asc == {v: sorted(l) for v, l in inc.items()}
+    assert {u: adj.out_asc(u) for u in out} == {
+        u: sorted(l, key=lambda p: (p[0], -p[1])) for u, l in out.items()
+    }
+    first_seen = dict.fromkeys(x for u, v, _ in adj.by_ts for x in (u, v))
+    assert adj.index == {x: i for i, x in enumerate(first_seen)}
+    assert adj.vertices == {x for u, v, _ in edges for x in (u, v)}
