@@ -1,4 +1,4 @@
-"""Exp-5 benchmark: tgTSG (heap) vs QuickUBG (pointer BFS) reduction time."""
+"""Exp-5 benchmark: tgTSG (heap) vs QuickUBG (two window passes) reduction time."""
 from benchmarks._bench_common import bench_queries, bench_scale, one_shot
 
 from repro.experiments.io import save_results

@@ -12,7 +12,10 @@ Problems in Temporal Graphs*, PVLDB 2014) over the window slice of the
 adjacency's τ-sorted edge list — each in-window edge is read once, the
 paper's O(n+m) bound.  ``D`` is ``−A`` of the time-reversed graph with
 ``s`` and ``t`` swapped: the same scan over the window slice of the
-adjacency's stored Gᴿ stream (``rev_slice``).
+adjacency's Gᴿ stream (``rev_slice``).  The query workload and EEV call
+these; the kernel's QuickUBG runs both scans inside
+:func:`repro.core.quick_ubg.quick_ubg_window`, its ``D`` scan over only the
+edges its ``A`` scan can leave.
 
 Dataflow: a min-fixpoint label propagation expressed as iterative
 DataFrame joins.  Arrival strictly increases along a path, so the fixpoint

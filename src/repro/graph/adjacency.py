@@ -1,20 +1,21 @@
 """Timestamp-sorted adjacency used by the per-query local kernels.
 
-Two τ-ordered edge streams, built with the adjacency:
-
-* ``by_ts`` — every edge in one list sorted by τ (ties in ``(u, v)``
-  order).  The phases that touch the whole window are single passes over a
-  slice of it: polarity times (the one-pass earliest-arrival scan of Wu et
-  al., PVLDB 2014), the Lemma-1 filter, the TCV sweep and EEV's edge order.
-* ``rev_by_ts`` — the time-reversed stream Gᴿ of ``by_ts``
-  (:func:`repro.graph.schema.reverse_edges`), stored once so that every
-  backward pass (latest departure, TCV toward ``t``) bisects it like
-  ``by_ts`` instead of rebuilding it per call.
+One τ-ordered edge stream, built with the adjacency: ``by_ts``, every edge
+in one list sorted by τ (ties in ``(u, v)`` order).  The phases that touch
+the whole window are single passes over a slice of it: QuickUBG (the
+one-pass earliest-arrival scan of Wu et al., PVLDB 2014, then the Lemma-1
+departure pass over the edges it reached), the TCV sweep and EEV's edge
+order.
 
 Views built on first read (``functools.cached_property``), since most
-graphs read few of them: a query's base graph reads none, its ``Gq`` only
-the index, and its ``Gt`` the neighbor lists:
+graphs read few of them: a query's base graph reads none, its ``Gq`` the
+index and ``rev_by_ts``, and its ``Gt`` ``rev_by_ts`` and the neighbor
+lists:
 
+* ``rev_by_ts`` — the time-reversed stream Gᴿ of ``by_ts``
+  (:func:`repro.graph.schema.reverse_edges`), built once so that every
+  backward pass (latest departure, TCV toward ``t``) bisects it like
+  ``by_ts`` instead of rebuilding it per call.
 * Per-vertex neighbor lists ``(τ, w)``: out-neighbors by **descending** τ
   and in-neighbors by **ascending** τ.  These are the orders the
   bidirectional DFS (Alg. 7) explores — forward latest-first, backward
@@ -43,7 +44,10 @@ class TemporalAdjacency:
         self.edges: List[Edge] = sorted(set(edges))
         # Stable sort of the (u, v, τ)-sorted edges: (τ, u, v) order.
         self.by_ts: List[Edge] = sorted(self.edges, key=_TS)
-        self.rev_by_ts: List[Edge] = reverse_edges(self.by_ts)
+
+    @cached_property
+    def rev_by_ts(self) -> List[Edge]:
+        return reverse_edges(self.by_ts)
 
     @cached_property
     def out_desc(self) -> Dict[int, List[Tuple[int, int]]]:

@@ -3,6 +3,8 @@
 Pure-Python (no Spark) and fast; parametrized seeds give broad coverage and
 Hypothesis hammers the same invariants with adversarial small graphs.
 """
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 from repro.baselines.enumeration import iter_simple_paths, tspg_by_enumeration
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
 from repro.core.eev import eev
-from repro.core.polarity import arrival_times, departure_times
-from repro.core.quick_ubg import quick_ubg
+from repro.core.polarity import arrival_times, departure_times, polarity_times
+from repro.core.quick_ubg import quick_ubg, quick_ubg_edges, quick_ubg_window
 from repro.core.tcv import (
     decode,
     lookup_source,
@@ -99,6 +101,51 @@ def test_quick_equals_tg(seed):
         quick_ubg(adj, q.s, q.t, q.tb, q.te).edges
         == tg_tsg(adj, q.s, q.t, q.tb, q.te).edges
     )
+
+
+# Timestamps from a few values, so equal-τ ties are common, including the
+# int64 extremes; window ends also fall between and beyond the data, and
+# τb > τe gives empty windows.
+_TS_POOL = [-(2**63), -5, 0, 1, 2, 3, 7, 2**63 - 1]
+_WINDOW_ENDS = _TS_POOL + [-(2**64), 4, 2**64]
+
+
+def _window_case(rng):
+    """Random edges (self loops and duplicates included) plus a query whose
+    ``s`` has in-edges, whose ``t`` has out-edges and, sometimes, a direct
+    ``s → t`` edge."""
+    n = rng.randint(2, 8)
+    s, t = rng.sample(range(n), 2)
+    edges = [
+        (rng.randrange(n), rng.randrange(n), rng.choice(_TS_POOL))
+        for _ in range(rng.randint(0, 30))
+    ]
+    edges += [(rng.randrange(n), s, rng.choice(_TS_POOL)),
+              (t, rng.randrange(n), rng.choice(_TS_POOL))]
+    if rng.random() < 0.5:
+        edges.append((s, t, rng.choice(_TS_POOL)))
+    edges += rng.choices(edges, k=rng.randint(0, 3))
+    tb, te = rng.choice(_WINDOW_ENDS), rng.choice(_WINDOW_ENDS)
+    if rng.random() < 0.7:
+        tb, te = min(tb, te), max(tb, te)
+    return edges, s, t, tb, te
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_quick_ubg_window_equals_lemma1_filter(seed):
+    """The two-pass QuickUBG keeps exactly the Lemma-1 edges of the window,
+    as the input's own tuples in input order; 5 windows per seed."""
+    rng = random.Random(seed)
+    for _ in range(5):
+        edges, s, t, tb, te = _window_case(rng)
+        adj = TemporalAdjacency(edges)
+        A, D = polarity_times(adj, s, t, tb, te)
+        raw = sorted((e for e in edges if tb <= e[2] <= te), key=lambda e: e[2])
+        for window in (adj.slice(tb, te), raw):
+            got = quick_ubg_window(window, s, t, tb, te)
+            want = quick_ubg_edges(window, A, D)
+            assert got == want, (edges, s, t, tb, te)
+            assert all(g is w for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -7,7 +7,7 @@ from repro.baselines.enumeration import tspg_by_enumeration
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
 from repro.core.eev import bidir_search, eev, preverified_edges
 from repro.core.polarity import arrival_times, departure_times
-from repro.core.quick_ubg import quick_ubg, quick_ubg_edges
+from repro.core.quick_ubg import quick_ubg, quick_ubg_edges, quick_ubg_window
 from repro.core.tcv import (
     decode,
     lookup_source,
@@ -78,6 +78,12 @@ class TestQuickUBG:
         kept = set(quick_ubg_edges(adj.edges, A_, D_))
         assert (S, A, 3) not in kept
         assert (D, T, 2) not in kept
+
+    def test_window_passes_give_fig3c_in_slice_order(self, adj):
+        window = adj.slice(TB, TE)
+        got = quick_ubg_window(window, S, T, TB, TE)
+        assert got == [e for e in window if e in set(EXPECTED_GQ)]
+        assert sorted(got) == EXPECTED_GQ
 
     def test_strictness_drops_bf5(self, gq):
         # e(b,f,5) needs τ < D(f) = 5; strict comparison drops it.

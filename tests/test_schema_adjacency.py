@@ -5,6 +5,7 @@ from collections import defaultdict
 import pandas as pd
 import pytest
 
+from repro.core.vug import vug_local
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.schema import (
     EDGE_COLUMNS,
@@ -17,8 +18,11 @@ from repro.graph.schema import (
     reverse_edges,
     spark_edges_to_list,
 )
+from repro.workload import Query
 
-LAZY_VIEWS = ("out_desc", "in_asc", "_out_asc", "index")
+from tests.example_graph import EDGES, EXPECTED_TSPG, S, T, TB, TE
+
+LAZY_VIEWS = ("rev_by_ts", "out_desc", "in_asc", "_out_asc", "index")
 
 
 class TestSchema:
@@ -109,6 +113,12 @@ class TestAdjacency:
         assert not set(LAZY_VIEWS) & set(vars(adj))
         adj.out_edges(1)
         assert "out_desc" in vars(adj) and "in_asc" not in vars(adj)
+
+    def test_vug_local_builds_no_view_of_the_base_graph(self):
+        adj = TemporalAdjacency(EDGES)
+        assert vug_local(adj, Query(S, T, TB, TE)).edges == EXPECTED_TSPG
+        assert "rev_by_ts" not in vars(adj)
+        assert not set(LAZY_VIEWS) & set(vars(adj))
 
     def test_missing_vertex_neighbors(self):
         adj = TemporalAdjacency([(1, 2, 3)])
