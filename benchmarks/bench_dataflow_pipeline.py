@@ -4,13 +4,16 @@ Uses D8 at test scale, the dataset of the ``dataflow_query`` workload: its
 Gq holds enough edges that TightUBG prunes and EEV has escaped edges to
 search, so every phase of the dataflow does work.
 """
-from benchmarks._bench_common import one_shot
-
 from repro.core.vug import vug_dataflow, vug_local
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.datasets import DATASETS, make_dataset
 from repro.graph.schema import edges_to_spark, pdf_to_edge_list, spark_edges_to_list
 from repro.workload import generate_queries
+
+
+def one_shot(benchmark, fn):
+    """Run ``fn`` exactly once under pytest-benchmark timing."""
+    return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 
 def test_vug_dataflow_single_query(benchmark, spark):

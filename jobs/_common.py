@@ -2,7 +2,8 @@
 
 Each job builds (or reuses) a local SparkSession, runs one experiment
 harness, prints the paper-vs-measured markdown table, and persists rows
-under results/.  Run as e.g.::
+under results/.  Jobs that reproduce a qualitative shape of the paper then
+``check`` it on the rows and exit non-zero when a check fails.  Run as e.g.::
 
     spark-submit jobs/table2_upper_bound_ratio.py --scale bench --queries 25
     python jobs/exp1_response_time.py --local        # no Spark parallelism
@@ -62,3 +63,10 @@ def emit(name: str, title: str, rows, columns, paper_notes=None) -> None:
             print(f"  - {note}")
     path = save_results(name, rows, columns)
     print(f"\n[saved {path}]")
+
+
+def check(ok: bool, what: str) -> None:
+    """A paper-shape check on the saved rows; a failure exits non-zero."""
+    if not ok:
+        raise SystemExit(f"check failed: {what}")
+    print(f"[check passed: {what}]")

@@ -1,5 +1,5 @@
 """Exp-7 (Fig 12/17): number of edges vs temporal simple paths in tspG."""
-from _common import emit, get_spark, make_parser, parse_scale
+from _common import check, emit, get_spark, make_parser, parse_scale
 
 from repro.experiments.paper_numbers import PAPER_QUOTES
 from repro.experiments.perf import EXP7_COLUMNS, exp7_rows
@@ -20,6 +20,19 @@ def main() -> None:
         rows,
         EXP7_COLUMNS,
         paper_notes=PAPER_QUOTES["exp7"],
+    )
+    # Paper shape: the number of paths far exceeds the number of edges on
+    # the dense settings (D1/D8 at their largest swept θ).
+    tops = [
+        r for r in rows
+        if r["theta"] == max(x["theta"] for x in rows if x["key"] == r["key"])
+    ]
+    check(
+        any(
+            r["paths_capped"] > 0 or r["tspg_paths"] > 5 * r["tspg_edges"]
+            for r in tops
+        ),
+        "paths dominate edges at the top θ",
     )
 
 

@@ -1,5 +1,7 @@
 """TABLE II: average upper-bound ratio (%) of the five reduction methods."""
-from _common import emit, get_spark, make_parser, parse_scale
+import math
+
+from _common import check, emit, get_spark, make_parser, parse_scale
 
 from repro.experiments.tables import TABLE2_COLUMNS, table2_rows
 
@@ -24,6 +26,15 @@ def main() -> None:
             " TightUBG > 90% on 8 of 10 datasets",
         ],
     )
+    for r in rows:
+        # Paper ordering: dt ≤ es ≤ tg = quick ≤ tight (tight is tightest).
+        check(
+            r["dt_ours"] <= r["es_ours"] + 1e-9
+            and r["es_ours"] <= r["quick_ours"] + 1e-9
+            and math.isclose(r["tg_ours"], r["quick_ours"], rel_tol=0, abs_tol=1e-9)
+            and r["quick_ours"] <= r["tight_ours"] + 1e-9,
+            f"{r['key']}: dt ≤ es ≤ tg = quick ≤ tight",
+        )
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import heapq
 from bisect import bisect_right
 from typing import Dict
 
+from repro.core.quick_ubg import quick_ubg_edges
 from repro.graph.adjacency import TemporalAdjacency
 from repro.graph.schema import project_window
 
@@ -153,14 +154,9 @@ def tg_tsg(
 ) -> TemporalAdjacency:
     """Strict-ascending-path reduction via bidirectional Dijkstra (tgTSG).
 
-    Same resulting graph as QuickUBG (Lemma 1 filter), different machinery.
+    Same resulting graph as QuickUBG: the labels come from the heap, the
+    keep test is QuickUBG's own Lemma-1 filter.
     """
     A = _dijkstra_arrival(adj, s, t, tb, te)
     D = _dijkstra_departure(adj, s, t, tb, te)
-    keep = []
-    for u, v, ts in adj.edges:
-        au = A.get(u)
-        dv = D.get(v)
-        if au is not None and dv is not None and au < ts < dv:
-            keep.append((u, v, ts))
-    return TemporalAdjacency(keep)
+    return TemporalAdjacency(quick_ubg_edges(adj.edges, A, D))

@@ -41,9 +41,11 @@ from repro.core.quick_ubg import quick_ubg_edges  # noqa: E402,F401
 
 @dataclass
 class VugLocalResult:
-    """Exact tspG for one query plus phase timings and intermediate sizes."""
+    """Exact tspG for one query, the Gt it was verified on, plus phase
+    timings and intermediate sizes."""
 
     edges: List[Edge]
+    gt: TemporalAdjacency
     timings: Dict[str, float] = field(default_factory=dict)
     sizes: Dict[str, int] = field(default_factory=dict)
 
@@ -71,6 +73,7 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     t3 = time.perf_counter()
     return VugLocalResult(
         edges=edges,
+        gt=gt,
         timings={"quick": t1 - t0, "tight": t2 - t1, "eev": t3 - t2},
         sizes={"gq": gq.m, "gt": gt.m, "tspg": len(edges)},
     )

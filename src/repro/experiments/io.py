@@ -1,4 +1,4 @@
-"""Result formatting/persistence shared by jobs and benchmarks."""
+"""Result formatting and persistence for the jobs."""
 from __future__ import annotations
 
 import json

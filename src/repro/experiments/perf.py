@@ -8,16 +8,13 @@ stand-in for the 12-hour cutoff, DESIGN.md §3).
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.runner import run_workload_local, run_workload_spark
-from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset
-from repro.graph.schema import pdf_to_edge_list
-from repro.workload import generate_queries
+from repro.experiments.runner import make_workload, run_workload
+from repro.graph.datasets import DATASET_KEYS, DATASETS
 
 EXP1_COLUMNS = ["key", "theta", "n_queries", "EPdtTSG_s", "EPesTSG_s",
                 "EPtgTSG_s", "VUG_s", "paper_note"]
@@ -29,36 +26,6 @@ EXP5_COLUMNS = ["key", "theta", "tgTSG_s", "QuickUBG_s", "speedup",
                 "quick_ratio", "tight_ratio"]
 EXP6_COLUMNS = ["key", "theta", "enum_on_gt_s", "eev_s", "speedup", "enum_inf"]
 EXP7_COLUMNS = ["key", "theta", "tspg_edges", "tspg_paths", "paths_capped"]
-
-
-def _workload(
-    key: str,
-    *,
-    scale,
-    n_queries: int,
-    theta: Optional[int],
-    seed: int,
-) -> Tuple[pd.DataFrame, TemporalAdjacency, list]:
-    spec = DATASETS[key]
-    pdf = make_dataset(key, scale=scale, seed=seed)
-    adj = TemporalAdjacency(pdf_to_edge_list(pdf))
-    queries = generate_queries(
-        adj, theta=theta or spec.theta, n_queries=n_queries, seed=seed + 17
-    )
-    return pdf, adj, queries
-
-
-def _run(
-    spark: Optional[SparkSession],
-    pdf: pd.DataFrame,
-    adj: TemporalAdjacency,
-    queries,
-    algos: Sequence[str],
-    **caps,
-) -> pd.DataFrame:
-    if spark is not None:
-        return run_workload_spark(spark, pdf, queries, algos, **caps)
-    return run_workload_local(adj, queries, algos, **caps)
 
 
 def _total(metrics: pd.DataFrame, algo: str, col: str = "total_s"):
@@ -87,10 +54,10 @@ def exp1_rows(
     rows = []
     for key in keys or DATASET_KEYS:
         spec = DATASETS[key]
-        pdf, adj, queries = _workload(
+        pdf, adj, queries = make_workload(
             key, scale=scale, n_queries=n_queries, theta=None, seed=seed
         )
-        m = _run(spark, pdf, adj, queries, algos, **caps)
+        m = run_workload(spark, pdf, adj, queries, algos, **caps)
         rows.append(
             {
                 "key": key,
@@ -126,10 +93,10 @@ def exp2_rows(
     rows = []
     for key, thetas in sweeps.items():
         for theta in thetas:
-            pdf, adj, queries = _workload(
+            pdf, adj, queries = make_workload(
                 key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
             )
-            m = _run(spark, pdf, adj, queries, algos, **caps)
+            m = run_workload(spark, pdf, adj, queries, algos, **caps)
             rows.append(
                 {
                     "key": key,
@@ -166,7 +133,7 @@ def exp3_rows(
 
     rows = []
     for key in keys or DATASET_KEYS:
-        pdf, adj, queries = _workload(
+        pdf, adj, queries = make_workload(
             key, scale=scale, n_queries=n_queries, theta=None, seed=seed
         )
         for algo in algos:
@@ -207,10 +174,10 @@ def exp4_rows(
     """Exp-4 (Fig 8): per-phase VUG time (QuickUBG / TightUBG / EEV)."""
     rows = []
     for key in keys or DATASET_KEYS:
-        pdf, adj, queries = _workload(
+        pdf, adj, queries = make_workload(
             key, scale=scale, n_queries=n_queries, theta=None, seed=seed
         )
-        m = _run(spark, pdf, adj, queries, ["VUG"], **caps)
+        m = run_workload(spark, pdf, adj, queries, ["VUG"], **caps)
         quick = float(m["quick_s"].sum())
         tight = float(m["tight_s"].sum())
         ev = float(m["eev_s"].sum())
@@ -251,10 +218,10 @@ def exp5_rows(
     rows = []
     for key, theta in plan:
         spec = DATASETS[key]
-        pdf, adj, queries = _workload(
+        pdf, adj, queries = make_workload(
             key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
         )
-        m = _run(spark, pdf, adj, queries, ["RATIOS"], **caps)
+        m = run_workload(spark, pdf, adj, queries, ["RATIOS"], **caps)
         tg_s = float(m["tg_s"].sum())
         quick_s = float(m["quick_s"].sum())
         ok = m["n_gq"] > 0
@@ -294,10 +261,10 @@ def exp6_rows(
     rows = []
     for key, thetas in sweeps.items():
         for theta in thetas:
-            pdf, adj, queries = _workload(
+            pdf, adj, queries = make_workload(
                 key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
             )
-            m = _run(spark, pdf, adj, queries, ["EXP6"], **caps)
+            m = run_workload(spark, pdf, adj, queries, ["EXP6"], **caps)
             enum_s = float(m["enum_s"].sum())
             eev_s = float(m["eev_s"].sum())
             rows.append(
@@ -328,10 +295,10 @@ def exp7_rows(
     rows = []
     for key, thetas in sweeps.items():
         for theta in thetas:
-            pdf, adj, queries = _workload(
+            pdf, adj, queries = make_workload(
                 key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
             )
-            m = _run(spark, pdf, adj, queries, ["COUNT"], **caps)
+            m = run_workload(spark, pdf, adj, queries, ["COUNT"], **caps)
             rows.append(
                 {
                     "key": key,

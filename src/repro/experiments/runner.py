@@ -10,13 +10,15 @@ paper's "total query time over 1000 queries" is then the sum of in-task
 times.  A repartition by number is never coalesced by adaptive execution, so
 the tasks really run in parallel.  Each task freezes the garbage collector's
 view of its heap while it times queries (see ``run_workload_spark``).
+``make_workload`` builds one experiment cell's dataset and queries, and
+``run_workload`` runs its grid on whichever of the two runners is given.
 """
 from __future__ import annotations
 
 import gc
 import math
 import time
-from typing import Dict, Iterator, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -28,12 +30,11 @@ from repro.baselines.enumeration import (
 )
 from repro.baselines.ep import EP_VARIANTS, ep_run
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
-from repro.core.eev import eev
-from repro.core.quick_ubg import quick_ubg
-from repro.core.tight_ubg import tight_ubg
-from repro.core.vug import vug_local
+from repro.core.vug import VugLocalResult, vug_local
 from repro.graph.adjacency import TemporalAdjacency
-from repro.workload import Query, queries_to_pdf
+from repro.graph.datasets import DATASETS, make_dataset
+from repro.graph.schema import pdf_to_edge_list
+from repro.workload import Query, generate_queries, queries_to_pdf
 
 METRIC_SPARK_SCHEMA = (
     "qid long, algo string, inf long, total_s double, quick_s double,"
@@ -70,6 +71,19 @@ DEFAULT_MAX_EXPANSIONS = 500_000
 DEFAULT_MAX_PATHS = 500_000
 
 
+def _vug_fields(res: VugLocalResult) -> Dict[str, object]:
+    """The metric fields of one ``vug_local`` run: phase times and sizes."""
+    return dict(
+        quick_s=res.timings["quick"],
+        tight_s=res.timings["tight"],
+        eev_s=res.timings["eev"],
+        total_s=sum(res.timings.values()),
+        n_gq=res.sizes["gq"],
+        n_gt=res.sizes["gt"],
+        n_tspg=res.sizes["tspg"],
+    )
+
+
 def query_metrics(
     adj: TemporalAdjacency,
     q: Query,
@@ -82,16 +96,7 @@ def query_metrics(
     row = dict(_METRIC_DEFAULTS)
     row["algo"] = algo
     if algo == "VUG":
-        res = vug_local(adj, q)
-        row.update(
-            quick_s=res.timings["quick"],
-            tight_s=res.timings["tight"],
-            eev_s=res.timings["eev"],
-            total_s=sum(res.timings.values()),
-            n_gq=res.sizes["gq"],
-            n_gt=res.sizes["gt"],
-            n_tspg=res.sizes["tspg"],
-        )
+        row.update(_vug_fields(vug_local(adj, q)))
     elif algo in EP_VARIANTS:
         res = ep_run(algo, adj, q, max_expansions=max_expansions)
         row.update(
@@ -105,60 +110,38 @@ def query_metrics(
         )
     elif algo == "RATIOS":
         # Sizes of the five upper-bound graphs plus the exact tspG; also
-        # times tgTSG vs QuickUBG (Exp-5) since both are computed anyway.
+        # times tgTSG against VUG's QuickUBG phase (Exp-5).
         t0 = time.perf_counter()
         tg = tg_tsg(adj, q.s, q.t, q.tb, q.te)
-        t1 = time.perf_counter()
-        gq = quick_ubg(adj, q.s, q.t, q.tb, q.te)
-        t2 = time.perf_counter()
-        gt = tight_ubg(gq, q.s, q.t)
-        t3 = time.perf_counter()
-        tspg = eev(gt, q.s, q.t, q.tb, q.te)
+        row["tg_s"] = time.perf_counter() - t0
         row.update(
-            tg_s=t1 - t0,
-            quick_s=t2 - t1,
-            tight_s=t3 - t2,
+            _vug_fields(vug_local(adj, q)),
             n_dt=dt_tsg(adj, q.tb, q.te).m,
             n_es=es_tsg(adj, q.s, q.t, q.tb, q.te).m,
             n_tg=tg.m,
-            n_gq=gq.m,
-            n_gt=gt.m,
-            n_tspg=len(tspg),
         )
     elif algo == "EXP6":
         # EEV vs enumeration, both applied to the same Gt (paper Exp-6).
-        gt = tight_ubg(quick_ubg(adj, q.s, q.t, q.tb, q.te), q.s, q.t)
+        res = vug_local(adj, q)
+        row.update(_vug_fields(res))
         t0 = time.perf_counter()
-        tspg = eev(gt, q.s, q.t, q.tb, q.te)
-        t1 = time.perf_counter()
-        inf = 0
         try:
             tspg_by_enumeration(
-                gt, q.s, q.t, q.tb, q.te, max_expansions=max_expansions
+                res.gt, q.s, q.t, q.tb, q.te, max_expansions=max_expansions
             )
         except EnumerationBudgetExceeded:
-            inf = 1
-        t2 = time.perf_counter()
-        row.update(
-            inf=inf,
-            eev_s=t1 - t0,
-            enum_s=t2 - t1,
-            n_gt=gt.m,
-            n_tspg=len(tspg),
-        )
+            row["inf"] = 1
+        row["enum_s"] = time.perf_counter() - t0
     elif algo == "COUNT":
         # tspG size and (capped) simple-path count (paper Exp-7), counted on
         # the tspG itself — every enumerated path lies inside it.
         res = vug_local(adj, q)
-        tspg_adj = TemporalAdjacency(res.edges)
         n_paths, capped = count_paths(
-            tspg_adj, q.s, q.t, q.tb, q.te, max_paths=max_paths
+            TemporalAdjacency(res.edges), q.s, q.t, q.tb, q.te,
+            max_paths=max_paths,
         )
         row.update(
-            n_tspg=len(res.edges),
-            n_paths=n_paths,
-            paths_capped=int(capped),
-            total_s=sum(res.timings.values()),
+            _vug_fields(res), n_paths=n_paths, paths_capped=int(capped)
         )
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -232,3 +215,39 @@ def run_workload_spark(
         .mapInPandas(run_part, METRIC_SPARK_SCHEMA)
         .toPandas()
     )
+
+
+def make_workload(
+    key: str,
+    *,
+    scale,
+    n_queries: int,
+    theta: Optional[int] = None,
+    seed: int = 0,
+) -> Tuple[pd.DataFrame, TemporalAdjacency, List[Query]]:
+    """One experiment cell's inputs: dataset ``key`` as edges and adjacency,
+    and ``n_queries`` queries at ``theta`` (the dataset's own by default)."""
+    pdf = make_dataset(key, scale=scale, seed=seed)
+    adj = TemporalAdjacency(pdf_to_edge_list(pdf))
+    queries = generate_queries(
+        adj,
+        theta=theta or DATASETS[key].theta,
+        n_queries=n_queries,
+        seed=seed + 17,
+    )
+    return pdf, adj, queries
+
+
+def run_workload(
+    spark: Optional[SparkSession],
+    pdf: pd.DataFrame,
+    adj: TemporalAdjacency,
+    queries: Sequence[Query],
+    algos: Sequence[str],
+    **caps,
+) -> pd.DataFrame:
+    """The (query × algorithm) grid on Spark when ``spark`` is given,
+    in-process otherwise."""
+    if spark is not None:
+        return run_workload_spark(spark, pdf, queries, algos, **caps)
+    return run_workload_local(adj, queries, algos, **caps)

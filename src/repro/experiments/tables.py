@@ -12,11 +12,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.experiments.paper_numbers import PAPER_TABLE2
-from repro.experiments.runner import run_workload_local, run_workload_spark
-from repro.graph.adjacency import TemporalAdjacency
+from repro.experiments.runner import make_workload, run_workload
 from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset, measured_stats
-from repro.graph.schema import pdf_to_edge_list
-from repro.workload import generate_queries
 
 TABLE1_COLUMNS = [
     "key", "name", "paper_n", "paper_m", "paper_T", "paper_d", "theta",
@@ -83,16 +80,10 @@ def table2_rows(
     """
     rows = []
     for key in keys or DATASET_KEYS:
-        spec = DATASETS[key]
-        pdf = make_dataset(key, scale=scale, seed=seed)
-        adj = TemporalAdjacency(pdf_to_edge_list(pdf))
-        queries = generate_queries(
-            adj, theta=theta or spec.theta, n_queries=n_queries, seed=seed + 17
+        pdf, adj, queries = make_workload(
+            key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
         )
-        if spark is not None:
-            metrics = run_workload_spark(spark, pdf, queries, ["RATIOS"])
-        else:
-            metrics = run_workload_local(adj, queries, ["RATIOS"])
+        metrics = run_workload(spark, pdf, adj, queries, ["RATIOS"])
         p = {m: PAPER_TABLE2[m].get(key) for m in PAPER_TABLE2}
         rows.append(
             {

@@ -4,6 +4,7 @@ import math
 import pandas as pd
 import pytest
 
+from repro.core.vug import vug_local
 from repro.experiments.io import fmt_markdown_table
 from repro.experiments.paper_numbers import PAPER_QUOTES, PAPER_TABLE2
 from repro.experiments.perf import (
@@ -72,6 +73,21 @@ class TestQueryMetrics:
         row = query_metrics(adj, queries[0], "COUNT")
         assert row["n_paths"] >= 1
         assert row["n_tspg"] >= 1
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_vug_runs_agree(self, d1, i):
+        """Every algorithm that runs VUG reports the same one run."""
+        _, adj, queries = d1
+        q = queries[i]
+        sizes = ["n_gq", "n_gt", "n_tspg"]
+        vug = query_metrics(adj, q, "VUG")
+        for algo in ("RATIOS", "EXP6"):
+            row = query_metrics(adj, q, algo)
+            assert [row[k] for k in sizes] == [vug[k] for k in sizes], algo
+        assert query_metrics(adj, q, "COUNT")["n_tspg"] == vug["n_tspg"]
+        res = vug_local(adj, q)
+        assert res.gt.m == res.sizes["gt"] == vug["n_gt"]
+        assert set(res.edges) <= set(res.gt.edges)
 
     def test_unknown_algo_raises(self, d1):
         _, adj, queries = d1
@@ -219,10 +235,12 @@ class TestPerfHarnesses:
         assert rows[0]["eev_s"] > 0 and rows[0]["enum_on_gt_s"] > 0
 
     def test_exp7(self):
-        rows = exp7_rows(scale="test", n_queries=2, sweeps={"D1": [8]})
+        n = 2
+        rows = exp7_rows(scale="test", n_queries=n, sweeps={"D1": [8]})
         r = rows[0]
-        assert r["tspg_paths"] >= r["tspg_edges"] * 0  # defined, non-negative
-        assert r["tspg_edges"] >= 0
+        # Every generated query has a strict path: a path and an edge each.
+        assert r["tspg_paths"] >= n and r["tspg_edges"] >= n
+        assert r["paths_capped"] == 0
 
 
 class TestIO:
