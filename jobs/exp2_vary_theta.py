@@ -1,26 +1,18 @@
 """Exp-2 (Fig 6/14): total response time varying the window span θ."""
-from _common import emit, get_spark, make_parser, parse_scale
+from _common import make_parser, run
 
 from repro.experiments.paper_numbers import PAPER_QUOTES
 from repro.experiments.perf import EXP2_COLUMNS, exp2_rows
 
 
 def main() -> None:
-    p = make_parser(__doc__)
-    args = p.parse_args()
-    spark = None if args.local else get_spark("exp2")
-    rows = exp2_rows(
-        spark,
-        scale=parse_scale(args.scale),
-        n_queries=args.queries,
-        seed=args.seed,
-    )
-    emit(
+    run(
+        make_parser(__doc__).parse_args(),
+        exp2_rows,
         "exp2_vary_theta",
         "Exp-2 — response time (s) varying θ (D1, D9)",
-        rows,
         EXP2_COLUMNS,
-        paper_notes=PAPER_QUOTES["exp2"],
+        PAPER_QUOTES["exp2"],
     )
 
 

@@ -1,24 +1,20 @@
 """Exp-3 (Fig 7): per-query peak memory of VUG vs an enumeration baseline."""
-from _common import emit, make_parser, parse_scale
+from _common import make_parser, run
 
 from repro.experiments.paper_numbers import PAPER_QUOTES
 from repro.experiments.perf import EXP3_COLUMNS, exp3_rows
 
 
 def main() -> None:
-    args = make_parser(__doc__).parse_args()
-    rows = exp3_rows(
-        scale=parse_scale(args.scale),
-        n_queries=args.queries,
-        seed=args.seed,
-        keys=args.keys,
-    )
-    emit(
+    run(
+        make_parser(
+            __doc__, ["--scale", "--queries", "--seed", "--keys"]
+        ).parse_args(),
+        exp3_rows,
         "exp3_space",
         "Exp-3 — per-query peak memory (tracemalloc, KiB)",
-        rows,
         EXP3_COLUMNS,
-        paper_notes=PAPER_QUOTES["exp3"],
+        PAPER_QUOTES["exp3"],
     )
 
 

@@ -1,26 +1,18 @@
 """Exp-4 (Fig 8): per-phase response time of VUG."""
-from _common import emit, get_spark, make_parser, parse_scale
+from _common import make_parser, run
 
 from repro.experiments.paper_numbers import PAPER_QUOTES
 from repro.experiments.perf import EXP4_COLUMNS, exp4_rows
 
 
 def main() -> None:
-    args = make_parser(__doc__).parse_args()
-    spark = None if args.local else get_spark("exp4")
-    rows = exp4_rows(
-        spark,
-        scale=parse_scale(args.scale),
-        n_queries=args.queries,
-        seed=args.seed,
-        keys=args.keys,
-    )
-    emit(
+    run(
+        make_parser(__doc__).parse_args(),
+        exp4_rows,
         "exp4_phase_breakdown",
         "Exp-4 — per-phase time of VUG (s)",
-        rows,
         EXP4_COLUMNS,
-        paper_notes=PAPER_QUOTES["exp4"],
+        PAPER_QUOTES["exp4"],
     )
 
 

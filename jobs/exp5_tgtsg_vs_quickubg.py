@@ -1,39 +1,28 @@
 """Exp-5 (Fig 9/10): tgTSG vs QuickUBG time, UB ratios under θ."""
-from _common import check, emit, get_spark, make_parser, parse_scale
+from _common import check, make_parser, run
 
 from repro.experiments.paper_numbers import PAPER_QUOTES
-from repro.experiments.perf import EXP5_COLUMNS, exp5_rows
-from repro.graph.datasets import DATASETS
+from repro.experiments.perf import EXP5_COLUMNS, EXP5_THETA_SWEEPS, exp5_rows
+from repro.experiments.runner import DEFAULT_THETAS
 
 
 def main() -> None:
     p = make_parser(__doc__)
     p.add_argument(
-        "--sweep", action="store_true",
-        help="also sweep θ on D9/D10 (Fig 10) instead of default-θ rows",
+        "--sweep", dest="sweeps", action="store_const",
+        const=EXP5_THETA_SWEEPS, default=DEFAULT_THETAS,
+        help="sweep θ on D9/D10 (Fig 10) instead of one default-θ row per"
+        " dataset",
     )
     args = p.parse_args()
-    spark = None if args.local else get_spark("exp5")
-    thetas = None
-    if args.sweep:
-        thetas = {
-            "D9": [16, 20, 24],
-            "D10": [23, 25, 27],
-        }
-    rows = exp5_rows(
-        spark,
-        scale=parse_scale(args.scale),
-        n_queries=args.queries,
-        seed=args.seed,
-        keys=args.keys,
-        thetas=thetas,
-    )
-    emit(
-        "exp5_tgtsg_vs_quickubg" + ("_sweep" if args.sweep else ""),
+    rows = run(
+        args,
+        exp5_rows,
+        "exp5_tgtsg_vs_quickubg"
+        + ("_sweep" if args.sweeps is EXP5_THETA_SWEEPS else ""),
         "Exp-5 — tgTSG vs QuickUBG (s) and upper-bound ratios (%)",
-        rows,
         EXP5_COLUMNS,
-        paper_notes=PAPER_QUOTES["exp5"],
+        PAPER_QUOTES["exp5"],
     )
     # Paper: QuickUBG strictly beats tgTSG (same graph, no heap factor).  In
     # Python the margin is small (EXPERIMENTS.md), so allow noise on a few

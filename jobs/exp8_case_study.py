@@ -5,7 +5,7 @@ and reports a tspG of 8 stops / 17 trips.  We run the same mechanics on the
 synthetic schedule: one morning query per seed, printing stops/trips of the
 resulting tspG.
 """
-from _common import emit, make_parser
+from _common import make_parser, run
 
 from repro.core.vug import vug_local
 from repro.graph.adjacency import TemporalAdjacency
@@ -16,10 +16,10 @@ from repro.workload import generate_queries
 COLUMNS = ["seed", "s", "t", "window", "stops", "trips"]
 
 
-def main() -> None:
-    args = make_parser(__doc__).parse_args()
+def case_study_rows(*, seed: int):
+    """One morning query on the schedule for each of five seeds from ``seed``."""
     rows = []
-    for seed in range(args.seed, args.seed + 5):
+    for seed in range(seed, seed + 5):
         adj = TemporalAdjacency(
             pdf_to_edge_list(transit_schedule_pdf(seed=7))
         )
@@ -36,12 +36,17 @@ def main() -> None:
                 "trips": len(res.edges),
             }
         )
-    emit(
+    return rows
+
+
+def main() -> None:
+    run(
+        make_parser(__doc__, ["--seed"]).parse_args(),
+        case_study_rows,
         "exp8_case_study",
         "Exp-8 — transit case study (synthetic schedule)",
-        rows,
         COLUMNS,
-        paper_notes=[
+        [
             "paper (SFMTA GTFS): query ('Silver Ave','30th St',[9:20,9:30])"
             " -> tspG with 8 stops and 17 trips",
         ],

@@ -1,27 +1,19 @@
 """TABLE II: average upper-bound ratio (%) of the five reduction methods."""
 import math
 
-from _common import check, emit, get_spark, make_parser, parse_scale
+from _common import check, make_parser, run
 
 from repro.experiments.tables import TABLE2_COLUMNS, table2_rows
 
 
 def main() -> None:
-    args = make_parser(__doc__).parse_args()
-    spark = None if args.local else get_spark("table2")
-    rows = table2_rows(
-        spark,
-        scale=parse_scale(args.scale),
-        n_queries=args.queries,
-        seed=args.seed,
-        keys=args.keys,
-    )
-    emit(
+    rows = run(
+        make_parser(__doc__).parse_args(),
+        table2_rows,
         "table2_upper_bound_ratio",
         "TABLE II — average upper-bound ratio (%)",
-        rows,
         TABLE2_COLUMNS,
-        paper_notes=[
+        [
             "paper: dtTSG and esTSG < 0.1% everywhere; tgTSG = QuickUBG;"
             " TightUBG > 90% on 8 of 10 datasets",
         ],

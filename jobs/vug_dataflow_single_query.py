@@ -5,7 +5,7 @@ in Catalyst, then TightUBG on the collected Gq and EEV with parallel
 escaped-edge searches) on a bench dataset and cross-checks it against the
 local kernel.
 """
-from _common import emit, get_spark, make_parser, parse_scale
+from _common import get_spark, make_parser, run
 
 from repro.core.vug import vug_dataflow, vug_local
 from repro.graph.adjacency import TemporalAdjacency
@@ -16,16 +16,15 @@ from repro.workload import generate_queries
 COLUMNS = ["key", "s", "t", "tb", "te", "tspg_edges", "matches_kernel"]
 
 
-def main() -> None:
-    p = make_parser(__doc__)
-    args = p.parse_args()
+def dataflow_rows(*, scale, seed: int, keys):
+    """One query per dataset of ``keys`` (D1 by default), on the dataflow."""
     spark = get_spark("vug-dataflow")
     rows = []
-    for key in args.keys or ["D1"]:
-        pdf = make_dataset(key, scale=parse_scale(args.scale), seed=args.seed)
+    for key in keys or ["D1"]:
+        pdf = make_dataset(key, scale=scale, seed=seed)
         adj = TemporalAdjacency(pdf_to_edge_list(pdf))
         q = generate_queries(
-            adj, theta=DATASETS[key].theta, n_queries=1, seed=args.seed + 17
+            adj, theta=DATASETS[key].theta, n_queries=1, seed=seed + 17
         )[0]
         got = spark_edges_to_list(
             vug_dataflow(spark, edges_to_spark(spark, pdf), q)
@@ -42,10 +41,15 @@ def main() -> None:
                 "matches_kernel": got == want,
             }
         )
-    emit(
+    return rows
+
+
+def main() -> None:
+    run(
+        make_parser(__doc__, ["--scale", "--seed", "--keys"]).parse_args(),
+        dataflow_rows,
         "vug_dataflow_single_query",
         "Distributed VUG pipeline — single query per dataset",
-        rows,
         COLUMNS,
     )
 

@@ -4,17 +4,20 @@ Figures themselves are out of scope; each function reproduces the rows /
 headline numbers the paper's text reports, in table form.  Totals follow
 the paper's convention: the summed per-query time of an algorithm over the
 workload, with INF when any query exhausts the enumeration budget (the
-stand-in for the 12-hour cutoff, DESIGN.md §3).
+stand-in for the 12-hour cutoff, DESIGN.md §3).  Every harness but Exp-3
+reads the cells of one (dataset, θ) sweep through ``runner.cells``; its
+paper default sweep is a module constant, and ``keys`` picks datasets of it.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.experiments.runner import make_workload, run_workload
-from repro.graph.datasets import DATASET_KEYS, DATASETS
+from repro.experiments.runner import DEFAULT_THETAS, Sweep, cells, make_workload
+from repro.experiments.tables import _ratio
+from repro.graph.datasets import DATASET_KEYS
 
 EXP1_COLUMNS = ["key", "theta", "n_queries", "EPdtTSG_s", "EPesTSG_s",
                 "EPtgTSG_s", "VUG_s", "paper_note"]
@@ -27,8 +30,20 @@ EXP5_COLUMNS = ["key", "theta", "tgTSG_s", "QuickUBG_s", "speedup",
 EXP6_COLUMNS = ["key", "theta", "enum_on_gt_s", "eev_s", "speedup", "enum_inf"]
 EXP7_COLUMNS = ["key", "theta", "tspg_edges", "tspg_paths", "paths_capped"]
 
+EP_AND_VUG = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
 
-def _total(metrics: pd.DataFrame, algo: str, col: str = "total_s"):
+EXP1_NOTES = {
+    "D8": "paper: baselines INF, VUG 78s",
+    "D9": "paper: baselines INF, VUG 208s",
+}
+EXP2_SWEEPS: Sweep = {"D1": [6, 8, 10, 12], "D9": [16, 18, 20, 22, 24]}
+# Fig 10/15: the upper-bound ratios of two large datasets under θ.
+EXP5_THETA_SWEEPS: Sweep = {"D9": [16, 20, 24], "D10": [23, 25, 27]}
+EXP6_SWEEPS: Sweep = {"D1": [None], "D8": [8, 10, 12]}
+EXP7_SWEEPS: Sweep = {"D1": [6, 8, 10], "D8": [8, 10, 12]}
+
+
+def _total(metrics: pd.DataFrame, algo: str):
     """Summed time for one algorithm, or ``"INF(k/n)"`` when k of the n
     queries exhausted the enumeration budget (the paper's 12-hour cutoff)."""
     sub = metrics[metrics["algo"] == algo]
@@ -37,7 +52,12 @@ def _total(metrics: pd.DataFrame, algo: str, col: str = "total_s"):
     n_inf = int(sub["inf"].sum())
     if n_inf > 0:
         return f"INF({n_inf}/{len(sub)})"
-    return float(sub[col].sum())
+    return float(sub["total_s"].sum())
+
+
+def _totals(metrics: pd.DataFrame) -> dict:
+    """The ``<algo>_s`` total of each of the four Exp-1/Exp-2 algorithms."""
+    return {f"{algo}_s": _total(metrics, algo) for algo in EP_AND_VUG}
 
 
 def exp1_rows(
@@ -50,31 +70,19 @@ def exp1_rows(
     **caps,
 ) -> List[dict]:
     """Exp-1 (Fig 5): total response time of the 4 algorithms per dataset."""
-    algos = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
-    rows = []
-    for key in keys or DATASET_KEYS:
-        spec = DATASETS[key]
-        pdf, adj, queries = make_workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
+    return [
+        {
+            "key": key,
+            "theta": theta,
+            "n_queries": n,
+            **_totals(m),
+            "paper_note": EXP1_NOTES.get(key, ""),
+        }
+        for key, theta, n, m in cells(
+            spark, DEFAULT_THETAS, EP_AND_VUG, keys=keys, scale=scale,
+            n_queries=n_queries, seed=seed, **caps,
         )
-        m = run_workload(spark, pdf, adj, queries, algos, **caps)
-        rows.append(
-            {
-                "key": key,
-                "theta": spec.theta,
-                "n_queries": len(queries),
-                "EPdtTSG_s": _total(m, "EPdtTSG"),
-                "EPesTSG_s": _total(m, "EPesTSG"),
-                "EPtgTSG_s": _total(m, "EPtgTSG"),
-                "VUG_s": _total(m, "VUG"),
-                "paper_note": (
-                    "paper: baselines INF, VUG 78s" if key == "D8"
-                    else "paper: baselines INF, VUG 208s" if key == "D9"
-                    else ""
-                ),
-            }
-        )
-    return rows
+    ]
 
 
 def exp2_rows(
@@ -83,31 +91,18 @@ def exp2_rows(
     scale="bench",
     n_queries: int = 15,
     seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
+    keys: Optional[Sequence[str]] = None,
+    sweeps: Sweep = EXP2_SWEEPS,
     **caps,
 ) -> List[dict]:
     """Exp-2 (Fig 6/14): total response time varying θ (default D1, D9)."""
-    algos = ["EPdtTSG", "EPesTSG", "EPtgTSG", "VUG"]
-    if sweeps is None:
-        sweeps = {"D1": [6, 8, 10, 12], "D9": [16, 18, 20, 22, 24]}
-    rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = make_workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = run_workload(spark, pdf, adj, queries, algos, **caps)
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "EPdtTSG_s": _total(m, "EPdtTSG"),
-                    "EPesTSG_s": _total(m, "EPesTSG"),
-                    "EPtgTSG_s": _total(m, "EPtgTSG"),
-                    "VUG_s": _total(m, "VUG"),
-                }
-            )
-    return rows
+    return [
+        {"key": key, "theta": theta, **_totals(m)}
+        for key, theta, _, m in cells(
+            spark, sweeps, EP_AND_VUG, keys=keys, scale=scale,
+            n_queries=n_queries, seed=seed, **caps,
+        )
+    ]
 
 
 def exp3_rows(
@@ -173,11 +168,10 @@ def exp4_rows(
 ) -> List[dict]:
     """Exp-4 (Fig 8): per-phase VUG time (QuickUBG / TightUBG / EEV)."""
     rows = []
-    for key in keys or DATASET_KEYS:
-        pdf, adj, queries = make_workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
-        )
-        m = run_workload(spark, pdf, adj, queries, ["VUG"], **caps)
+    for key, _, _, m in cells(
+        spark, DEFAULT_THETAS, ["VUG"], keys=keys, scale=scale,
+        n_queries=n_queries, seed=seed, **caps,
+    ):
         quick = float(m["quick_s"].sum())
         tight = float(m["tight_s"].sum())
         ev = float(m["eev_s"].sum())
@@ -202,45 +196,30 @@ def exp5_rows(
     n_queries: int = 25,
     seed: int = 0,
     keys: Optional[Sequence[str]] = None,
-    thetas: Optional[Dict[str, Sequence[int]]] = None,
+    sweeps: Sweep = DEFAULT_THETAS,
     **caps,
 ) -> List[dict]:
     """Exp-5 (Fig 9/10): tgTSG vs QuickUBG time; UB ratio under θ.
 
-    With ``thetas`` given (e.g. ``{"D9": [16, 20, 24]}``) produces the
-    θ-sweep rows of Fig 10/15; otherwise one default-θ row per dataset.
+    One default-θ row per dataset by default; ``sweeps=EXP5_THETA_SWEEPS``
+    gives the θ-sweep rows of Fig 10/15.  The ratios are TABLE II's.
     """
-    plan = (
-        [(k, None) for k in (keys or DATASET_KEYS)]
-        if thetas is None
-        else [(k, th) for k, ths in thetas.items() for th in ths]
-    )
     rows = []
-    for key, theta in plan:
-        spec = DATASETS[key]
-        pdf, adj, queries = make_workload(
-            key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-        )
-        m = run_workload(spark, pdf, adj, queries, ["RATIOS"], **caps)
+    for key, theta, _, m in cells(
+        spark, sweeps, ["RATIOS"], keys=keys, scale=scale,
+        n_queries=n_queries, seed=seed, **caps,
+    ):
         tg_s = float(m["tg_s"].sum())
         quick_s = float(m["quick_s"].sum())
-        ok = m["n_gq"] > 0
-        quick_ratio = float(
-            (m.loc[ok, "n_tspg"] / m.loc[ok, "n_gq"] * 100).mean()
-        )
-        okt = m["n_gt"] > 0
-        tight_ratio = float(
-            (m.loc[okt, "n_tspg"] / m.loc[okt, "n_gt"] * 100).mean()
-        )
         rows.append(
             {
                 "key": key,
-                "theta": theta or spec.theta,
+                "theta": theta,
                 "tgTSG_s": tg_s,
                 "QuickUBG_s": quick_s,
                 "speedup": tg_s / quick_s if quick_s else float("nan"),
-                "quick_ratio": quick_ratio,
-                "tight_ratio": tight_ratio,
+                "quick_ratio": _ratio(m, "n_gq"),
+                "tight_ratio": _ratio(m, "n_gt"),
             }
         )
     return rows
@@ -252,31 +231,28 @@ def exp6_rows(
     scale="bench",
     n_queries: int = 25,
     seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
+    keys: Optional[Sequence[str]] = None,
+    sweeps: Sweep = EXP6_SWEEPS,
     **caps,
 ) -> List[dict]:
     """Exp-6 (Fig 11/16): EEV vs path enumeration, both on Gt."""
-    if sweeps is None:
-        sweeps = {"D1": [DATASETS["D1"].theta], "D8": [8, 10, 12]}
     rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = make_workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = run_workload(spark, pdf, adj, queries, ["EXP6"], **caps)
-            enum_s = float(m["enum_s"].sum())
-            eev_s = float(m["eev_s"].sum())
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "enum_on_gt_s": enum_s,
-                    "eev_s": eev_s,
-                    "speedup": enum_s / eev_s if eev_s else float("nan"),
-                    "enum_inf": int(m["inf"].sum()),
-                }
-            )
+    for key, theta, _, m in cells(
+        spark, sweeps, ["EXP6"], keys=keys, scale=scale,
+        n_queries=n_queries, seed=seed, **caps,
+    ):
+        enum_s = float(m["enum_s"].sum())
+        eev_s = float(m["eev_s"].sum())
+        rows.append(
+            {
+                "key": key,
+                "theta": theta,
+                "enum_on_gt_s": enum_s,
+                "eev_s": eev_s,
+                "speedup": enum_s / eev_s if eev_s else float("nan"),
+                "enum_inf": int(m["inf"].sum()),
+            }
+        )
     return rows
 
 
@@ -286,26 +262,21 @@ def exp7_rows(
     scale="bench",
     n_queries: int = 25,
     seed: int = 0,
-    sweeps: Optional[Dict[str, Sequence[int]]] = None,
+    keys: Optional[Sequence[str]] = None,
+    sweeps: Sweep = EXP7_SWEEPS,
     **caps,
 ) -> List[dict]:
     """Exp-7 (Fig 12/17): #edges vs #temporal simple paths in the tspG."""
-    if sweeps is None:
-        sweeps = {"D1": [6, 8, 10], "D8": [8, 10, 12]}
-    rows = []
-    for key, thetas in sweeps.items():
-        for theta in thetas:
-            pdf, adj, queries = make_workload(
-                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-            )
-            m = run_workload(spark, pdf, adj, queries, ["COUNT"], **caps)
-            rows.append(
-                {
-                    "key": key,
-                    "theta": theta,
-                    "tspg_edges": int(m["n_tspg"].sum()),
-                    "tspg_paths": int(m["n_paths"].sum()),
-                    "paths_capped": int(m["paths_capped"].sum()),
-                }
-            )
-    return rows
+    return [
+        {
+            "key": key,
+            "theta": theta,
+            "tspg_edges": int(m["n_tspg"].sum()),
+            "tspg_paths": int(m["n_paths"].sum()),
+            "paths_capped": int(m["paths_capped"].sum()),
+        }
+        for key, theta, _, m in cells(
+            spark, sweeps, ["COUNT"], keys=keys, scale=scale,
+            n_queries=n_queries, seed=seed, **caps,
+        )
+    ]

@@ -11,14 +11,15 @@ times.  A repartition by number is never coalesced by adaptive execution, so
 the tasks really run in parallel.  Each task freezes the garbage collector's
 view of its heap while it times queries (see ``run_workload_spark``).
 ``make_workload`` builds one experiment cell's dataset and queries, and
-``run_workload`` runs its grid on whichever of the two runners is given.
+``cells`` runs the grid of every cell of a (dataset, θ) sweep on whichever
+of the two runners is given.
 """
 from __future__ import annotations
 
 import gc
 import math
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -32,7 +33,7 @@ from repro.baselines.ep import EP_VARIANTS, ep_run
 from repro.baselines.reductions import dt_tsg, es_tsg, tg_tsg
 from repro.core.vug import VugLocalResult, vug_local
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.datasets import DATASETS, make_dataset
+from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset
 from repro.graph.schema import pdf_to_edge_list
 from repro.workload import Query, generate_queries, queries_to_pdf
 
@@ -238,16 +239,44 @@ def make_workload(
     return pdf, adj, queries
 
 
-def run_workload(
+Sweep = Mapping[str, Sequence[Optional[int]]]
+
+# Every dataset at its own θ: the plan of TABLE II and Exp-1, 4 and 5.
+DEFAULT_THETAS: Sweep = {key: [None] for key in DATASET_KEYS}
+
+
+def cells(
     spark: Optional[SparkSession],
-    pdf: pd.DataFrame,
-    adj: TemporalAdjacency,
-    queries: Sequence[Query],
+    sweeps: Sweep,
     algos: Sequence[str],
+    *,
+    keys: Optional[Sequence[str]] = None,
+    scale,
+    n_queries: int,
+    seed: int = 0,
     **caps,
-) -> pd.DataFrame:
-    """The (query × algorithm) grid on Spark when ``spark`` is given,
-    in-process otherwise."""
-    if spark is not None:
-        return run_workload_spark(spark, pdf, queries, algos, **caps)
-    return run_workload_local(adj, queries, algos, **caps)
+) -> Iterator[Tuple[str, int, int, pd.DataFrame]]:
+    """Run the (query × algorithm) grid of each experiment cell.
+
+    ``sweeps`` maps a dataset key to its window spans θ, ``None`` standing
+    for the dataset's own.  ``keys`` restricts the sweep to those datasets,
+    in that order; a key the sweep does not hold raises ``ValueError``.
+    Yields ``(key, θ, number of queries, metrics)`` per cell; the grid runs
+    on Spark when ``spark`` is given, in-process otherwise.
+    """
+    unknown = [key for key in keys or () if key not in sweeps]
+    if unknown:
+        raise ValueError(
+            f"keys {unknown} are not in this sweep; it holds {list(sweeps)}"
+        )
+    for key in keys or sweeps:
+        for theta in sweeps[key]:
+            theta = DATASETS[key].theta if theta is None else theta
+            pdf, adj, queries = make_workload(
+                key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
+            )
+            if spark is not None:
+                m = run_workload_spark(spark, pdf, queries, algos, **caps)
+            else:
+                m = run_workload_local(adj, queries, algos, **caps)
+            yield key, theta, len(queries), m

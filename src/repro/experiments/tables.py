@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.experiments.paper_numbers import PAPER_TABLE2
-from repro.experiments.runner import make_workload, run_workload
+from repro.experiments.runner import DEFAULT_THETAS, cells
 from repro.graph.datasets import DATASET_KEYS, DATASETS, make_dataset, measured_stats
 
 TABLE1_COLUMNS = [
@@ -54,7 +54,8 @@ def table1_rows(
 
 
 def _ratio(metrics: pd.DataFrame, ub_col: str) -> float:
-    """Average upper-bound ratio % over queries (paper TABLE II metric)."""
+    """Average upper-bound ratio % over queries (paper TABLE II metric,
+    also Exp-5's under θ)."""
     ub = metrics[ub_col].astype(float)
     tspg = metrics["n_tspg"].astype(float)
     ok = (ub > 0) & (tspg >= 0)
@@ -70,25 +71,23 @@ def table2_rows(
     n_queries: int = 25,
     seed: int = 0,
     keys: Optional[Sequence[str]] = None,
-    theta: Optional[int] = None,
 ) -> List[dict]:
     """TABLE II: average upper-bound ratio of the five reduction methods.
 
     Runs the RATIOS workload (all five upper-bound graphs + exact tspG per
-    query) on each dataset; distributed across queries when ``spark`` is
-    given, sequential otherwise.
+    query) on each dataset at its own θ; distributed across queries when
+    ``spark`` is given, sequential otherwise.
     """
     rows = []
-    for key in keys or DATASET_KEYS:
-        pdf, adj, queries = make_workload(
-            key, scale=scale, n_queries=n_queries, theta=theta, seed=seed
-        )
-        metrics = run_workload(spark, pdf, adj, queries, ["RATIOS"])
+    for key, _, n, metrics in cells(
+        spark, DEFAULT_THETAS, ["RATIOS"], keys=keys, scale=scale,
+        n_queries=n_queries, seed=seed,
+    ):
         p = {m: PAPER_TABLE2[m].get(key) for m in PAPER_TABLE2}
         rows.append(
             {
                 "key": key,
-                "n_queries": len(queries),
+                "n_queries": n,
                 "dt_ours": _ratio(metrics, "n_dt"),
                 "dt_paper": p["dtTSG"],
                 "es_ours": _ratio(metrics, "n_es"),

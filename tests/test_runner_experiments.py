@@ -1,5 +1,10 @@
 """Metric runner and experiment harnesses at test scale."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pandas as pd
 import pytest
@@ -8,6 +13,9 @@ from repro.core.vug import vug_local
 from repro.experiments.io import fmt_markdown_table
 from repro.experiments.paper_numbers import PAPER_QUOTES, PAPER_TABLE2
 from repro.experiments.perf import (
+    EXP2_SWEEPS,
+    EXP6_SWEEPS,
+    EXP7_SWEEPS,
     exp1_rows,
     exp2_rows,
     exp4_rows,
@@ -16,6 +24,7 @@ from repro.experiments.perf import (
     exp7_rows,
 )
 from repro.experiments.runner import (
+    DEFAULT_THETAS,
     METRIC_SPARK_SCHEMA,
     query_metrics,
     run_workload_local,
@@ -28,6 +37,19 @@ from repro.graph.schema import pdf_to_edge_list
 from repro.workload import generate_queries
 
 ALL_ALGOS = ["VUG", "EPdtTSG", "EPesTSG", "EPtgTSG", "RATIOS", "EXP6", "COUNT"]
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every harness on the sweep cell loop, with its default sweep.
+SWEEP_HARNESSES = [
+    (exp1_rows, DEFAULT_THETAS),
+    (exp2_rows, EXP2_SWEEPS),
+    (exp4_rows, DEFAULT_THETAS),
+    (exp5_rows, DEFAULT_THETAS),
+    (exp6_rows, EXP6_SWEEPS),
+    (exp7_rows, EXP7_SWEEPS),
+    (table2_rows, DEFAULT_THETAS),
+]
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +204,11 @@ class TestTables:
         assert r["quick_ours"] <= r["tight_ours"] + 1e-9
         assert r["tight_ours"] <= 100.0 + 1e-9
         assert r["tight_paper"] == PAPER_TABLE2["TightUBG"]["D1"]
+        # Exp-5 reads TABLE II's ratios on the same cells.
+        e = exp5_rows(scale="test", n_queries=3, keys=["D1"])[0]
+        assert (e["quick_ratio"], e["tight_ratio"]) == (
+            r["quick_ours"], r["tight_ours"]
+        )
 
     def test_table2_rows_spark(self, spark):
         rows = table2_rows(spark, scale="test", n_queries=2, keys=["D8"])
@@ -227,7 +254,7 @@ class TestPerfHarnesses:
         assert 0 < r["quick_ratio"] <= r["tight_ratio"] + 1e-9 <= 100 + 1e-9
 
     def test_exp5_sweep(self):
-        rows = exp5_rows(scale="test", n_queries=2, thetas={"D1": [6, 8]})
+        rows = exp5_rows(scale="test", n_queries=2, sweeps={"D1": [6, 8]})
         assert [r["theta"] for r in rows] == [6, 8]
 
     def test_exp6(self):
@@ -241,6 +268,45 @@ class TestPerfHarnesses:
         # Every generated query has a strict path: a path and an edge each.
         assert r["tspg_paths"] >= n and r["tspg_edges"] >= n
         assert r["paths_capped"] == 0
+
+    @pytest.mark.parametrize(
+        "harness, sweep",
+        SWEEP_HARNESSES,
+        ids=[h.__name__ for h, _ in SWEEP_HARNESSES],
+    )
+    def test_keys_restrict_the_sweep(self, harness, sweep):
+        rows = harness(scale="test", n_queries=1, keys=["D1"])
+        assert rows and {r["key"] for r in rows} == {"D1"}
+        outside = next((k for k in DATASETS if k not in sweep), "D11")
+        with pytest.raises(ValueError) as err:
+            harness(scale="test", n_queries=1, keys=["D1", outside])
+        assert str(list(sweep)) in str(err.value)
+
+
+class TestJobs:
+    @pytest.mark.parametrize(
+        "job", ["exp2_vary_theta", "exp6_eev_vs_enum", "exp7_paths_edges"]
+    )
+    def test_keys_reach_the_harness(self, job, tmp_path):
+        """``--keys D1`` saves only D1 rows, not the sweep's other datasets."""
+        env = dict(
+            os.environ,
+            REPRO_RESULTS_DIR=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(
+                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                if p
+            ),
+        )
+        proc = subprocess.run(
+            [
+                sys.executable, str(ROOT / "jobs" / f"{job}.py"), "--local",
+                "--scale", "test", "--queries", "2", "--keys", "D1",
+            ],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        rows = json.loads((tmp_path / f"{job}.json").read_text())
+        assert rows and {r["key"] for r in rows} == {"D1"}
 
 
 class TestIO:
