@@ -16,7 +16,10 @@ import os
 import sys
 from typing import Optional
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+# ``repro`` lives under the checkout's src/: import it from there, here and
+# (see ``get_spark``) in Spark's Python workers.
+SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 from pyspark.sql import SparkSession
 
@@ -55,6 +58,9 @@ def make_parser(desc: str, options=tuple(OPTIONS)) -> argparse.ArgumentParser:
 
 
 def get_spark(app: str) -> SparkSession:
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH", "")) if p
+    )
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --conf spark.driver.host=127.0.0.1 "

@@ -1,9 +1,8 @@
 """Run one tspG query through the Spark VUG pipeline.
 
 Demonstrates the dataflow path (polarity fixpoint joins → QuickUBG filter
-in Catalyst, then TightUBG on the collected Gq and EEV with parallel
-escaped-edge searches) on a bench dataset and cross-checks it against the
-local kernel.
+in Catalyst, then the kernel's TightUBG and EEV on the collected Gq) on a
+bench dataset and cross-checks it against the local kernel.
 """
 from _common import get_spark, make_parser, run
 

@@ -29,21 +29,11 @@ dense tight graphs it removes almost all backtracking.
 from __future__ import annotations
 
 import math
-from typing import Callable, Generator, Iterable, List, Optional, Set, Tuple
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from typing import Callable, Generator, List, Optional, Set, Tuple
 
 from repro.core.polarity import arrival_times, departure_times
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import (
-    EDGE_SCHEMA,
-    Edge,
-    edges_to_pdf,
-    edges_to_spark,
-    pdf_to_edge_list,
-    spark_edges_to_list,
-)
+from repro.graph.schema import Edge
 
 _Polarity = Optional[dict]
 
@@ -214,83 +204,23 @@ def preverified_edges(
     return out
 
 
-def verify_escaped(
-    gt: TemporalAdjacency,
-    s: int,
-    t: int,
-    tb: int,
-    te: int,
-    edges: Iterable[Edge],
-    confirmed: Set[Edge],
-) -> Set[Edge]:
-    """Search each of ``edges`` not yet confirmed and confirm the path found
-    with its Lemma-11 substitutes (Alg. 6 L6-19); returns ``confirmed``."""
+def eev(
+    gt: TemporalAdjacency, s: int, t: int, tb: int, te: int
+) -> List[Edge]:
+    """Exact tspG edge set from the tight upper-bound graph (Alg. 6).
+
+    After the Lemma-2/10 pre-verification, each edge not yet confirmed is
+    searched, and the path found is confirmed with its Lemma-11 substitutes
+    (Alg. 6 L6-19).
+    """
+    confirmed = preverified_edges(gt, s, t)
     arrival = arrival_times(gt, s, t, tb, te)
     departure = departure_times(gt, s, t, tb, te)
-    for edge in edges:
+    for edge in gt.by_ts:
         if edge in confirmed:
             continue
         path = bidir_search(edge, gt, s, t, tb, te, arrival, departure)
         if path is not None:  # else: proven absent from every simple path
             confirm_path(path, gt, confirmed)
-    return confirmed
-
-
-def eev(
-    gt: TemporalAdjacency, s: int, t: int, tb: int, te: int
-) -> List[Edge]:
-    """Exact tspG edge set from the tight upper-bound graph (Alg. 6)."""
-    confirmed = verify_escaped(
-        gt, s, t, tb, te, gt.by_ts, preverified_edges(gt, s, t)
-    )
     # Gt's own tuples in sorted order: confirmed ⊆ gt.edges.
     return [e for e in gt.edges if e in confirmed]
-
-
-# ---------------------------------------------------------------------------
-# Distributed EEV
-# ---------------------------------------------------------------------------
-
-
-def eev_df(
-    spark: SparkSession,
-    gt_df: DataFrame,
-    s: int,
-    t: int,
-    tb: int,
-    te: int,
-) -> DataFrame:
-    """Distributed Alg. 6 on the collected ``Gt``: the kernel's Lemma-2/10
-    pre-verification, then the escaped edges verified in parallel
-    ``mapInPandas`` tasks against a broadcast ``Gt``.
-
-    Each task applies Lemma-11 batch confirmation within its partition;
-    confirmations are unioned distinct, so the result set is identical to
-    the sequential algorithm (only duplicate search work differs).
-    """
-    gt_rows = spark_edges_to_list(gt_df)
-    pre = preverified_edges(TemporalAdjacency(gt_rows), s, t)
-    escaped = [e for e in gt_rows if e not in pre]
-    bc = spark.sparkContext.broadcast(gt_rows)
-    s_, t_, tb_, te_ = int(s), int(t), int(tb), int(te)
-
-    def verify(batches: Iterable[pd.DataFrame]):
-        edges = sorted(
-            (e for pdf in batches for e in pdf_to_edge_list(pdf)),
-            key=lambda e: (e[2], e[0], e[1]),
-        )
-        if not edges:
-            return
-        gt_local = TemporalAdjacency(bc.value)
-        yield edges_to_pdf(
-            verify_escaped(gt_local, s_, t_, tb_, te_, edges, set())
-        )
-
-    n_tasks = max(2, spark.sparkContext.defaultParallelism // 2)
-    confirmed_df = (
-        edges_to_spark(spark, edges_to_pdf(escaped))
-        .repartition(n_tasks)
-        .mapInPandas(verify, schema=EDGE_SCHEMA)
-    )
-    pre_df = edges_to_spark(spark, edges_to_pdf(pre))
-    return pre_df.unionByName(confirmed_df).distinct()

@@ -5,9 +5,9 @@ the unit of work that the evaluation harness parallelizes across queries.
 ``vug_dataflow`` is the per-query Spark pipeline (DataFrame in, tspG-edge
 DataFrame out).  Catalyst runs only the phase that touches the whole graph:
 the window projection, the polarity fixpoints and the Lemma-1 filter.  Gq
-is small (paper TABLE II), so it is collected and TightUBG runs the kernel
-on it; EEV pre-verifies the collected Gt with the kernel and searches its
-escaped edges in parallel ``mapInPandas`` tasks.
+is small (paper TABLE II), so it is collected once and the kernel's
+TightUBG and EEV run on it on the driver; the tspG is lifted into a
+DataFrame once, at the end.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from typing import Dict, List, Set
 
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.eev import eev, eev_df
+from repro.core.eev import eev
 from repro.core.polarity import arrival_times_df, departure_times_df
 from repro.core.quick_ubg import quick_ubg_df, quick_ubg_window
 from repro.core.tcv import tcv_from_source, tcv_to_target
@@ -90,17 +90,31 @@ def quick_ubg_dataflow(
 
 def tight_ubg_dataflow(
     spark: SparkSession, gq: DataFrame, q: Query
-) -> DataFrame:
+) -> TemporalAdjacency:
     """TightUBG on the collected Gq: the kernel's TCV sweeps + Lemma-9
-    filter."""
-    gt = tight_ubg(TemporalAdjacency(spark_edges_to_list(gq)), q.s, q.t)
-    return edges_to_spark(spark, edges_to_pdf(gt.edges))
+    filter.  Returns the kernel's Gt."""
+    return tight_ubg(TemporalAdjacency(spark_edges_to_list(gq)), q.s, q.t)
+
+
+def eev_df(
+    spark: SparkSession,
+    gt: TemporalAdjacency,
+    s: int,
+    t: int,
+    tb: int,
+    te: int,
+) -> DataFrame:
+    """The kernel's EEV on the driver's Gt, its tspG lifted into a
+    DataFrame."""
+    return edges_to_spark(spark, edges_to_pdf(eev(gt, s, t, tb, te)))
 
 
 def vug_dataflow(
     spark: SparkSession, edges: DataFrame, q: Query
 ) -> DataFrame:
-    """Full distributed VUG pipeline; returns the tspG edge DataFrame."""
+    """Full VUG pipeline: Catalyst QuickUBG, Gq collected once, the
+    kernel's TightUBG and EEV, the tspG lifted once.  Returns the tspG edge
+    DataFrame."""
     gq = quick_ubg_dataflow(spark, edges, q)
     gt = tight_ubg_dataflow(spark, gq, q)
     return eev_df(spark, gt, q.s, q.t, q.tb, q.te)

@@ -121,39 +121,52 @@ def exp3_rows(
     VUG's peak is stable across queries (linear in n+m), while enumeration
     baselines swing exponentially between their min and max query.
     """
+    import gc
     import tracemalloc
 
     from repro.baselines.ep import ep_run
     from repro.core.vug import vug_local
 
+    # A cyclic collection inside a traced query frees part of its garbage
+    # early and lowers its peak, so peaks would depend on where collections
+    # happen to fall: collect once, then keep the collector off.
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     rows = []
-    for key in keys or DATASET_KEYS:
-        pdf, adj, queries = make_workload(
-            key, scale=scale, n_queries=n_queries, theta=None, seed=seed
-        )
-        for algo in algos:
-            peaks, n_inf = [], 0
-            for q in queries:
-                tracemalloc.start()
-                try:
-                    if algo == "VUG":
-                        vug_local(adj, q)
-                    else:
-                        res = ep_run(algo, adj, q, max_expansions=max_expansions)
-                        n_inf += int(res.inf)
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                finally:
-                    tracemalloc.stop()
-            rows.append(
-                {
-                    "key": key,
-                    "algo": algo,
-                    "min_peak_kb": min(peaks) / 1024.0,
-                    "max_peak_kb": max(peaks) / 1024.0,
-                    "spread": max(peaks) / max(1, min(peaks)),
-                    "inf_queries": n_inf,
-                }
+    try:
+        for key in keys or DATASET_KEYS:
+            pdf, adj, queries = make_workload(
+                key, scale=scale, n_queries=n_queries, theta=None, seed=seed
             )
+            for algo in algos:
+                peaks, n_inf = [], 0
+                for q in queries:
+                    tracemalloc.start()
+                    try:
+                        if algo == "VUG":
+                            vug_local(adj, q)
+                        else:
+                            res = ep_run(
+                                algo, adj, q, max_expansions=max_expansions
+                            )
+                            n_inf += int(res.inf)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                rows.append(
+                    {
+                        "key": key,
+                        "algo": algo,
+                        "min_peak_kb": min(peaks) / 1024.0,
+                        "max_peak_kb": max(peaks) / 1024.0,
+                        "spread": max(peaks) / max(1, min(peaks)),
+                        "inf_queries": n_inf,
+                    }
+                )
+    finally:
+        if was_enabled:
+            gc.enable()
     return rows
 
 

@@ -10,6 +10,7 @@ random reachable ``t``.  Deterministic in ``seed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List
 
 import numpy as np
@@ -23,8 +24,11 @@ from repro.graph.adjacency import TemporalAdjacency
 class Query:
     """One tspG query: source, target, inclusive time interval.
 
-    ``s = t`` is refused (a path back to ``s`` is a cycle, not a simple
-    path), and so is an empty interval ``τb > τe``.
+    Every field must be an integer (numpy integers included); ``None``,
+    floats (NaN too) and ``bool`` are refused, since a vertex or timestamp
+    given as ``True`` is a mistake, not the id 1.  ``s = t`` is refused (a
+    path back to ``s`` is a cycle, not a simple path), and so is an empty
+    interval ``τb > τe``.
     """
 
     s: int
@@ -33,6 +37,10 @@ class Query:
     te: int
 
     def __post_init__(self):
+        for name in ("s", "t", "tb", "te"):
+            v = getattr(self, name)
+            if not isinstance(v, Integral) or isinstance(v, bool):
+                raise ValueError(f"query field {name} is not an integer: {v!r}")
         if self.s == self.t:
             raise ValueError(f"query source and target are both {self.s}")
         if self.tb > self.te:

@@ -2,10 +2,10 @@
 against the hand-derived expectations and the DuckDB recursive-CTE oracle."""
 import pytest
 
-from repro.core.eev import eev_df
 from repro.core.polarity import arrival_times_df, departure_times_df
 from repro.core.quick_ubg import quick_ubg_df
 from repro.core.vug import (
+    eev_df,
     quick_ubg_dataflow,
     tight_ubg_dataflow,
     vug_dataflow,
@@ -115,7 +115,7 @@ def test_quick_ubg_df_filter_semantics(spark, edges_df):
 
 def test_tight_ubg_dataflow_matches_fig4c(spark, gq_df):
     gt = tight_ubg_dataflow(spark, gq_df, Q)
-    assert spark_edges_to_list(gt) == EXPECTED_GT
+    assert gt.edges == EXPECTED_GT
 
 
 def test_eev_df_matches_fig1c(spark, gq_df):
@@ -127,6 +127,23 @@ def test_eev_df_matches_fig1c(spark, gq_df):
 def test_vug_dataflow_end_to_end(spark, edges_df):
     tspg = vug_dataflow(spark, edges_df, Q)
     assert spark_edges_to_list(tspg) == EXPECTED_TSPG
+
+
+def test_eev_df_starts_no_job(spark, gq_df):
+    # EEV runs on the driver's Gt; its tspG is lifted, not computed, by Spark.
+    gt = tight_ubg_dataflow(spark, gq_df, Q)
+    _, jobs = _in_group(
+        spark, "eev-df-jobs", lambda: eev_df(spark, gt, S, T, TB, TE)
+    )
+    assert jobs == []
+
+
+def test_vug_dataflow_result_collects_in_one_job(spark, edges_df):
+    tspg = vug_dataflow(spark, edges_df, Q)
+    got, jobs = _in_group(
+        spark, "vug-collect-jobs", lambda: spark_edges_to_list(tspg)
+    )
+    assert got == EXPECTED_TSPG and len(jobs) == 1
 
 
 @pytest.mark.parametrize(
@@ -157,9 +174,12 @@ def test_vug_dataflow_degenerate_equals_kernel(spark, edges, q):
     assert spark_edges_to_list(vug_dataflow(spark, df, q)) == want
 
 
-@pytest.mark.parametrize("bad", [(0, 0, 1, 2), (0, 1, 2, 1)])
+@pytest.mark.parametrize(
+    "bad", [(0, 0, 1, 2), (0, 1, 2, 1), (0, 1, float("nan"), 2)]
+)
 def test_vug_dataflow_refuses_bad_query(spark, bad):
-    # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window.
+    # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window;
+    # a NaN bound is not an integer.
     df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 0, 2)]))
     with pytest.raises(ValueError):
         vug_dataflow(spark, df, Query(*bad))
@@ -193,14 +213,25 @@ def test_polarity_df_refuses_window_beyond_int64(spark, polarity_df, tb, te):
     )
 
 
+def _in_group(spark, group, call):
+    """Run ``call`` in the Spark job group ``group``; returns its result and
+    the ids of the jobs it started."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        # Job starts reach the status tracker through an asynchronous
+        # listener bus.
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, sc.statusTracker().getJobIdsForGroup(group)
+
+
 def _assert_refused_without_jobs(spark, group, call):
     """``call`` raises ``ValueError`` before running any Spark job."""
-    spark.sparkContext.setJobGroup(group, group)
-    try:
-        with pytest.raises(ValueError):
-            call()
-    finally:
-        spark.sparkContext.setLocalProperty("spark.jobGroup.id", None)
+    with pytest.raises(ValueError):
+        _in_group(spark, group, call)
     assert spark.sparkContext.statusTracker().getJobIdsForGroup(group) == []
 
 

@@ -167,9 +167,12 @@ class TestEndToEnd:
         assert res.edges == EXPECTED_TSPG
         assert res.sizes == {"gq": 8, "gt": 5, "tspg": 4}
 
-    @pytest.mark.parametrize("bad", [(0, 0, 1, 2), (0, 1, 2, 1)])
+    @pytest.mark.parametrize(
+        "bad", [(0, 0, 1, 2), (0, 1, 2, 1), (0, 1, float("nan"), 2)]
+    )
     def test_bad_query_refused(self, bad):
-        # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window.
+        # s = t would ask for cycles (here 0→1→0); τb > τe is an empty window;
+        # a NaN bound is not an integer.
         adj = TemporalAdjacency([(0, 1, 1), (1, 0, 2)])
         with pytest.raises(ValueError):
             vug_local(adj, Query(*bad))

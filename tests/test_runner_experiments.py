@@ -40,6 +40,45 @@ ALL_ALGOS = ["VUG", "EPdtTSG", "EPesTSG", "EPtgTSG", "RATIOS", "EXP6", "COUNT"]
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Two Exp-3 calls with cyclic garbage made between them, the collector on or
+# off as ``%``-formatted in; prints both calls' (min, max) peaks.
+EXP3_GC_SCRIPT = """
+import gc, json
+from repro.experiments.perf import exp3_rows
+
+enabled = %s
+(gc.enable if enabled else gc.disable)()
+
+def peaks():
+    rows = exp3_rows(scale="test", n_queries=3, keys=["D1"],
+                     max_expansions=50_000)
+    assert gc.isenabled() == enabled
+    return [[r["min_peak_kb"], r["max_peak_kb"]] for r in rows]
+
+# The first calls in a process allocate a little more while the
+# interpreter's caches warm up.
+peaks()
+peaks()
+first = peaks()
+for _ in range(1001):
+    cycle = []
+    cycle.append(cycle)
+del cycle
+print(json.dumps([first, peaks()]))
+"""
+
+
+def _env_with_src(**extra):
+    """The environment with the checkout's src/ first on ``PYTHONPATH``."""
+    return dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
+        ),
+        **extra,
+    )
+
+
 # Every harness on the sweep cell loop, with its default sweep.
 SWEEP_HARNESSES = [
     (exp1_rows, DEFAULT_THETAS),
@@ -239,6 +278,22 @@ class TestPerfHarnesses:
             assert r["max_peak_kb"] >= r["min_peak_kb"] > 0
             assert r["spread"] >= 1
 
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_exp3_peaks_ignore_collector_timing(self, enabled):
+        """Cyclic garbage made between two calls moves no peak, and the
+        collector's state is restored.
+
+        Runs in a fresh interpreter: the Spark session of other tests keeps
+        Python threads that allocate while a query is traced.
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", EXP3_GC_SCRIPT % enabled],
+            env=_env_with_src(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        first, second = json.loads(proc.stdout)
+        assert second == first
+
     def test_exp4(self):
         rows = exp4_rows(scale="test", n_queries=2, keys=["D1"])
         r = rows[0]
@@ -289,14 +344,7 @@ class TestJobs:
     )
     def test_keys_reach_the_harness(self, job, tmp_path):
         """``--keys D1`` saves only D1 rows, not the sweep's other datasets."""
-        env = dict(
-            os.environ,
-            REPRO_RESULTS_DIR=str(tmp_path),
-            PYTHONPATH=os.pathsep.join(
-                p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-                if p
-            ),
-        )
+        env = _env_with_src(REPRO_RESULTS_DIR=str(tmp_path))
         proc = subprocess.run(
             [
                 sys.executable, str(ROOT / "jobs" / f"{job}.py"), "--local",
@@ -307,6 +355,17 @@ class TestJobs:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         rows = json.loads((tmp_path / f"{job}.json").read_text())
         assert rows and {r["key"] for r in rows} == {"D1"}
+
+    def test_job_imports_repro_from_outside_the_repo(self, tmp_path):
+        """A job finds ``repro`` under src/ with no install and no
+        ``PYTHONPATH``, whatever the working directory."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "jobs" / "exp8_case_study.py"),
+             "--help"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestIO:

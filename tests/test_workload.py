@@ -1,4 +1,5 @@
 """Query workload generation: reachability guarantee, spans, determinism."""
+import numpy as np
 import pytest
 
 from repro.core.polarity import arrival_times
@@ -21,6 +22,21 @@ class TestQueryDataclass:
         q = Query(0, 1, 2, 3)
         with pytest.raises(AttributeError):
             q.s = 9
+
+    @pytest.mark.parametrize("field", ["s", "t", "tb", "te"])
+    @pytest.mark.parametrize(
+        "bad", [None, 2.5, float("nan"), True, np.float64(2.0), "2"],
+        ids=["none", "float", "nan", "bool", "np-float", "str"],
+    )
+    def test_non_integer_field_refused(self, field, bad):
+        args = dict(s=0, t=1, tb=2, te=3)
+        args[field] = bad
+        with pytest.raises(ValueError, match=f"field {field} "):
+            Query(**args)
+
+    def test_numpy_integers_accepted(self):
+        q = Query(np.int64(0), np.int32(1), np.int64(2), np.uint8(3))
+        assert q.theta == 2
 
 
 class TestGeneration:
