@@ -2,11 +2,19 @@
 
 Deliberately written with different machinery than ``src/repro`` (state-set
 fixpoints and plain recursive enumeration, no pointers/heaps/TCV) so that a
-bug in the kernel is unlikely to be mirrored here.
+bug in the kernel is unlikely to be mirrored here.  ``scan_generate_queries``
+is the query generator as a per-try earliest-arrival scan: the vectorised
+``repro.workload.generate_queries`` must repeat its query stream.
 """
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.core.polarity import arrival_times
+from repro.graph.adjacency import TemporalAdjacency
+from repro.workload import Query
 
 Edge = Tuple[int, int, int]
 
@@ -118,4 +126,45 @@ def brute_tcv_target(
     out = sets[0]
     for x in sets[1:]:
         out &= x
+    return out
+
+
+def scan_generate_queries(
+    adj: TemporalAdjacency,
+    *,
+    theta: int,
+    n_queries: int,
+    seed: int = 0,
+    max_tries: int = 2000,
+) -> List[Query]:
+    """The query generator as a per-try earliest-arrival scan: the oracle
+    whose query stream ``repro.workload.generate_queries`` must repeat."""
+    if not adj.edges:
+        raise ValueError("empty graph")
+    g = np.random.default_rng(seed)
+    ts_all = np.array([e[2] for e in adj.edges], dtype="int64")
+    ts_min, ts_max = int(ts_all.min()), int(ts_all.max())
+    lo, hi = ts_min, max(ts_min, ts_max - theta + 1)
+    out: List[Query] = []
+    tries = 0
+    while len(out) < n_queries:
+        tries += 1
+        if tries > max_tries:
+            raise RuntimeError(
+                f"could not find {n_queries} reachable queries in {max_tries} tries"
+            )
+        tb = int(g.integers(lo, hi + 1))
+        te = tb + theta - 1
+        in_win = np.nonzero((ts_all >= tb) & (ts_all <= te))[0]
+        if len(in_win) == 0:
+            continue
+        s = adj.edges[int(g.choice(in_win))][0]
+        # Strict reachability from s in the window; -1 is a non-vertex, so no
+        # via-t exclusion applies while scouting targets.
+        arr = arrival_times(adj, s, -1, tb, te)
+        reachable = [v for v in arr if v != s]
+        if not reachable:
+            continue
+        t = int(g.choice(np.array(sorted(reachable), dtype="int64")))
+        out.append(Query(int(s), t, tb, te))
     return out
