@@ -111,8 +111,8 @@ def generate_queries(
     starts = np.flatnonzero(np.r_[True, ts_sorted[1:] != ts_sorted[:-1]])
     times = ts_sorted[starts].tolist()  # distinct τ; rank r is times[r]
     bounds = starts.tolist() + [m]  # rank r's edges: bounds[r] .. bounds[r+1]
-    ts_min, ts_max = times[0], times[-1]
-    lo, hi = ts_min, max(ts_min, ts_max - theta + 1)
+    lo = times[0]
+    hi = max(lo, times[-1] - theta + 1)
     reached = np.empty(len(verts) + 1, dtype=bool)
     out: List[Query] = []
     tries = 0

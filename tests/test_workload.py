@@ -230,11 +230,6 @@ class TestSameStreamAsScan:
             scan_generate_queries, adj, **kw
         )
 
-    def test_equal_timestamps_do_not_chain(self):
-        adj = TemporalAdjacency([(1, 2, 3), (2, 3, 3)])
-        qs = generate_queries(adj, theta=1, n_queries=20, seed=0)
-        assert {(q.s, q.t) for q in qs} == {(1, 2), (2, 3)}
-
     def test_wide_theta_on_sparse_timestamps_allocates_by_edges(self):
         g = np.random.default_rng(3)
         edges = [
