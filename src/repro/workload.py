@@ -100,8 +100,8 @@ def generate_queries(
     m = len(adj.edges)
     e = np.fromiter(chain.from_iterable(adj.edges), np.int64, 3 * m).reshape(m, 3)
     ts = e[:, 2]
-    verts, pos = np.unique(e[:, :2], return_inverse=True)
-    pos = pos.reshape(m, 2)
+    verts = np.unique(e[:, :2])
+    pos = np.searchsorted(verts, e[:, :2])
     order = np.argsort(ts, kind="stable")
     src = pos[order, 0]
     # The scan this replaces ran with "no target" t = −1, so a vertex named

@@ -2,9 +2,9 @@
 argument checks, and the same query stream as the scan-based reference."""
 import json
 import os
-from collections import Counter
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
