@@ -1,8 +1,9 @@
 """Run one tspG query through the Spark VUG pipeline.
 
-Demonstrates the dataflow path (polarity fixpoint joins → QuickUBG filter
-in Catalyst, then the kernel's TightUBG and EEV on the collected Gq) on a
-bench dataset and cross-checks it against the local kernel.
+Demonstrates the dataflow path (Spark projects the edge DataFrame onto the
+query window and the driver collects it in one job, then the kernel's
+QuickUBG, TightUBG and EEV run on that slice) on a bench dataset and
+cross-checks it against the local kernel.
 """
 from _common import get_spark, make_parser, run
 

@@ -4,11 +4,10 @@ Keep edge ``e(u, v, τ)`` iff ``A(u) < τ < D(v)`` (Lemma 1): the edge lies on
 at least one *temporal* (not necessarily simple) path from ``s`` to ``t``
 within ``[τb, τe]``.  With the conventions ``A(s)=τb-1`` and ``D(t)=τe+1``
 this uniformly covers all four cases of Observation 1.  Vertices missing
-from A/D are unreachable (±∞ in the paper) and their edges drop out — in the
-dataflow version simply because the inner joins find no label row.
+from A/D are unreachable (±∞ in the paper) and their edges drop out.
 
-The local kernel (:func:`quick_ubg_window`) decides Lemma 1 in two passes
-over the window slice, the second reading only the edges the first reached:
+:func:`quick_ubg_window` decides Lemma 1 in two passes over the window
+slice, the second reading only the edges the first reached:
 
 1. The earliest-arrival scan (Wu et al., PVLDB 2014) over the τ-ascending
    slice, with ``A(s) = τb−1`` and ``t`` never labelled, collects every edge
@@ -22,17 +21,16 @@ after τ and avoids ``s`` has a source that ``s`` reaches earlier than that
 edge's τ, and is itself in pass 1's list.  The latest such path is thus
 seen whole by pass 2, and ``D(v)`` over the list equals ``D(v)`` over the
 window.  :func:`quick_ubg_edges` stays the definition: Lemma 1 given both
-polarity maps (:func:`repro.core.polarity.polarity_times`).
+polarity maps (:func:`repro.core.polarity.polarity_times`).  The dataflow
+has no QuickUBG of its own: it collects the window slice and runs
+:func:`quick_ubg` on it (:func:`repro.core.vug.quick_ubg_dataflow`).
 """
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.schema import EDGE_COLUMNS, Edge
+from repro.graph.schema import Edge
 
 
 def quick_ubg_edges(
@@ -90,22 +88,3 @@ def quick_ubg(
     """
     return TemporalAdjacency(quick_ubg_window(adj.slice(tb, te), s, t, tb, te))
 
-
-def quick_ubg_df(
-    edges: DataFrame, arrival: DataFrame, departure: DataFrame
-) -> DataFrame:
-    """Distributed Lemma-1 filter.
-
-    ``arrival``/``departure`` are the outputs of
-    :func:`repro.core.polarity.arrival_times_df` /
-    :func:`~repro.core.polarity.departure_times_df`.  Inner joins drop edges
-    whose endpoint has no label (unreachable), matching the ±∞ convention.
-    """
-    a = arrival.select(F.col("v").alias("_au"), F.col("arrival"))
-    d = departure.select(F.col("v").alias("_dv"), F.col("departure"))
-    return (
-        edges.join(a, edges.src == a._au)
-        .join(d, edges.dst == d._dv)
-        .where((F.col("ts") > F.col("arrival")) & (F.col("ts") < F.col("departure")))
-        .select(*EDGE_COLUMNS)
-    )

@@ -3,11 +3,12 @@
 ``vug_local`` is the exact per-query kernel with per-phase wall timings —
 the unit of work that the evaluation harness parallelizes across queries.
 ``vug_dataflow`` is the per-query Spark pipeline (DataFrame in, tspG-edge
-DataFrame out).  Catalyst runs only the phase that touches the whole graph:
-the window projection, the polarity fixpoints and the Lemma-1 filter.  Gq
-is small (paper TABLE II), so it is collected once and the kernel's
-TightUBG and EEV run on it on the driver; the tspG is lifted into a
-DataFrame once, at the end.
+DataFrame out).  Spark does the one step that touches the whole graph: it
+projects the edge DataFrame onto the query window, and the driver collects
+that slice in one job.  The kernel's QuickUBG, TightUBG and EEV run on it
+on the driver, and the tspG is lifted into a DataFrame once, at the end.
+QuickUBG is one O(n+m) scan that the kernel does in milliseconds; as
+Catalyst label rounds it took up to θ Spark rounds and seconds per query.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from typing import Dict, List, Set
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.eev import eev
-from repro.core.polarity import arrival_times_df, departure_times_df
-from repro.core.quick_ubg import quick_ubg_df, quick_ubg_window
+from repro.core.quick_ubg import quick_ubg, quick_ubg_window
 from repro.core.tcv import tcv_from_source, tcv_to_target
 from repro.core.tight_ubg import tight_ubg
 from repro.graph.adjacency import TemporalAdjacency
@@ -27,6 +27,7 @@ from repro.graph.schema import (
     Edge,
     edges_to_pdf,
     edges_to_spark,
+    project_window_df,
     spark_edges_to_list,
 )
 from repro.workload import Query
@@ -79,21 +80,38 @@ def vug_local(adj: TemporalAdjacency, q: Query) -> VugLocalResult:
     )
 
 
+# The dataflow's timestamp domain: int64 less two values at each end, where
+# a Catalyst polarity fixpoint's sentinels τb − 1, τe + 1 and −τb + 1 fitted.
+# The kernel needs no such margin.
+TS_MIN, TS_MAX = -(2**63) + 2, 2**63 - 2
+
+
+def _check_int64_window(tb: int, te: int) -> None:
+    if min(tb, te) < TS_MIN or max(tb, te) > TS_MAX:
+        raise ValueError(
+            f"window [{tb}, {te}] leaves the dataflow's "
+            f"timestamp domain [{TS_MIN}, {TS_MAX}]"
+        )
+
+
 def quick_ubg_dataflow(
     spark: SparkSession, edges: DataFrame, q: Query
-) -> DataFrame:
-    """Distributed QuickUBG: polarity fixpoints + Lemma-1 edge filter."""
-    arrival = arrival_times_df(spark, edges, q.s, q.t, q.tb, q.te)
-    departure = departure_times_df(spark, edges, q.s, q.t, q.tb, q.te)
-    return quick_ubg_df(edges, arrival, departure)
+) -> TemporalAdjacency:
+    """QuickUBG on the collected window: Spark projects ``edges`` onto
+    ``[τb, τe]`` and the driver collects the slice in one job, then runs
+    the kernel's two-pass QuickUBG on it.  Returns the kernel's Gq.  A
+    window outside ``[TS_MIN, TS_MAX]`` is refused before any job."""
+    _check_int64_window(q.tb, q.te)
+    window = spark_edges_to_list(project_window_df(edges, q.tb, q.te))
+    return quick_ubg(TemporalAdjacency(window), q.s, q.t, q.tb, q.te)
 
 
 def tight_ubg_dataflow(
-    spark: SparkSession, gq: DataFrame, q: Query
+    spark: SparkSession, gq: TemporalAdjacency, q: Query
 ) -> TemporalAdjacency:
-    """TightUBG on the collected Gq: the kernel's TCV sweeps + Lemma-9
+    """TightUBG on the dataflow's Gq: the kernel's TCV sweeps + Lemma-9
     filter.  Returns the kernel's Gt."""
-    return tight_ubg(TemporalAdjacency(spark_edges_to_list(gq)), q.s, q.t)
+    return tight_ubg(gq, q.s, q.t)
 
 
 def eev_df(
@@ -112,9 +130,9 @@ def eev_df(
 def vug_dataflow(
     spark: SparkSession, edges: DataFrame, q: Query
 ) -> DataFrame:
-    """Full VUG pipeline: Catalyst QuickUBG, Gq collected once, the
-    kernel's TightUBG and EEV, the tspG lifted once.  Returns the tspG edge
-    DataFrame."""
+    """Full VUG pipeline: the window collected once, the kernel's QuickUBG,
+    TightUBG and EEV on the driver, the tspG lifted once.  Returns the tspG
+    edge DataFrame."""
     gq = quick_ubg_dataflow(spark, edges, q)
     gt = tight_ubg_dataflow(spark, gq, q)
     return eev_df(spark, gt, q.s, q.t, q.tb, q.te)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -34,10 +35,40 @@ EDGE_SCHEMA = StructType(
 )
 
 
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
+def _is_int64(v) -> bool:
+    """Whether ``v`` is an integer value in int64's range; ``bool`` is not."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    try:
+        return bool(
+            not isinstance(v, bool) and I64_MIN <= v <= I64_MAX and int(v) == v
+        )
+    except (TypeError, ValueError):
+        return False
+
+
+def _int64_column(pdf: pd.DataFrame, name: str) -> pd.Series:
+    """Column ``name`` as int64.  Refuses a bool column and any value that
+    the cast would change (2.5, NaN, 2^63, "3")."""
+    col = pdf[name]
+    if col.dtype == np.int64:
+        return col
+    if pd.api.types.is_bool_dtype(col.dtype):
+        raise ValueError(f"edge column {name} is bool, not int64")
+    for v in col.unique():
+        if not _is_int64(v):
+            raise ValueError(f"edge column {name} holds {v!r}, not an int64")
+    return col.astype("int64")
+
+
 def canonical_edges_pdf(pdf: pd.DataFrame) -> pd.DataFrame:
     """Normalize an edge table: int64 dtypes, no duplicates, no self-loops,
-    deterministic (src, dst, ts) order."""
-    out = pdf[EDGE_COLUMNS].astype("int64")
+    deterministic (src, dst, ts) order.  A value that is not an int64 is
+    refused with ``ValueError``, never truncated."""
+    out = pd.DataFrame({c: _int64_column(pdf, c) for c in EDGE_COLUMNS})
     out = out[out["src"] != out["dst"]]
     out = out.drop_duplicates()
     return out.sort_values(EDGE_COLUMNS).reset_index(drop=True)
@@ -88,21 +119,11 @@ def project_window(edges: Iterable[Edge], tb: int, te: int) -> List[Edge]:
 # backward phase (latest departure, TCV toward t) is its forward twin run
 # on Gᴿ with s and t swapped and τ negated back.  The kernel's
 # TemporalAdjacency stores Gᴿ of its edge stream once (``rev_by_ts``) and
-# bisects it per window.  On the int64 dataflow columns −(−2^63)
-# overflows, so the dataflow reverses only in-window edges, and its window
-# sentinels bound the query interval (:data:`repro.core.polarity.TS_MIN`,
-# :data:`~repro.core.polarity.TS_MAX`).
+# bisects it per window.  Its timestamps are Python ints, so −(−2^63) does
+# not overflow; no int64 column is ever reversed.
 
 
 def reverse_edges(by_ts: Sequence[Edge]) -> List[Edge]:
     """Gᴿ of a τ-ascending edge list, again τ-ascending."""
     return [(v, u, -ts) for u, v, ts in reversed(by_ts)]
 
-
-def reverse_df(edges: DataFrame) -> DataFrame:
-    """Gᴿ of an edge DataFrame: ``dst → src, src → dst, −ts``."""
-    return edges.select(
-        F.col("dst").alias("src"),
-        F.col("src").alias("dst"),
-        (-F.col("ts")).alias("ts"),
-    )

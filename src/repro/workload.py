@@ -104,16 +104,14 @@ def generate_queries(
     pos = np.searchsorted(verts, e[:, :2])
     order = np.argsort(ts, kind="stable")
     src = pos[order, 0]
-    # The scan this replaces ran with "no target" t = −1, so a vertex named
-    # −1 is never reached: its in-edges lead to a sink slot past the end.
-    dst = np.where(e[order, 1] == -1, len(verts), pos[order, 1])
+    dst = pos[order, 1]
     ts_sorted = ts[order]
     starts = np.flatnonzero(np.r_[True, ts_sorted[1:] != ts_sorted[:-1]])
     times = ts_sorted[starts].tolist()  # distinct τ; rank r is times[r]
     bounds = starts.tolist() + [m]  # rank r's edges: bounds[r] .. bounds[r+1]
     lo = times[0]
     hi = max(lo, times[-1] - theta + 1)
-    reached = np.empty(len(verts) + 1, dtype=bool)
+    reached = np.empty(len(verts), dtype=bool)
     out: List[Query] = []
     tries = 0
     while len(out) < n_queries:
@@ -139,7 +137,7 @@ def generate_queries(
             # leaves a vertex reached before τ rank r: equal τ never chain.
             reached[dst[a:b][reached[src[a:b]]]] = True
         reached[sp] = False
-        reachable = verts[reached[:-1]]  # ascending, as verts is
+        reachable = verts[reached]  # ascending, as verts is
         if not len(reachable):
             continue
         t = int(g.choice(reachable))

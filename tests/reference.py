@@ -159,9 +159,9 @@ def scan_generate_queries(
         if len(in_win) == 0:
             continue
         s = adj.edges[int(g.choice(in_win))][0]
-        # Strict reachability from s in the window; -1 is a non-vertex, so no
-        # via-t exclusion applies while scouting targets.
-        arr = arrival_times(adj, s, -1, tb, te)
+        # Strict reachability from s in the window; None is not a vertex, so
+        # no via-t exclusion applies while scouting targets.
+        arr = arrival_times(adj, s, None, tb, te)
         reachable = [v for v in arr if v != s]
         if not reachable:
             continue

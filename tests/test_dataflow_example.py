@@ -1,9 +1,7 @@
-"""Distributed dataflow phases on the paper's running example, cross-checked
-against the hand-derived expectations and the DuckDB recursive-CTE oracle."""
+"""Dataflow phases on the paper's running example, cross-checked against the
+hand-derived expectations and the DuckDB recursive-CTE oracle."""
 import pytest
 
-from repro.core.polarity import arrival_times_df, departure_times_df
-from repro.core.quick_ubg import quick_ubg_df
 from repro.core.vug import (
     eev_df,
     quick_ubg_dataflow,
@@ -12,7 +10,7 @@ from repro.core.vug import (
     vug_local,
 )
 from repro.graph.adjacency import TemporalAdjacency
-from repro.graph.duck_oracle import arrival_sql, departure_sql, tspg_sql
+from repro.graph.duck_oracle import tspg_sql
 from repro.graph.schema import (
     edges_to_pdf,
     edges_to_spark,
@@ -24,8 +22,6 @@ from repro.workload import Query
 
 from tests.example_graph import (
     EDGES,
-    EXPECTED_ARRIVAL,
-    EXPECTED_DEPARTURE,
     EXPECTED_GQ,
     EXPECTED_GT,
     EXPECTED_TSPG,
@@ -36,8 +32,7 @@ from tests.example_graph import (
 )
 
 Q = Query(S, T, TB, TE)
-# The widest window whose sentinels τb − 1, τe + 1, −τe − 1, −τb + 1 fit
-# in int64.
+# The dataflow's timestamp domain, restated so that a change to it fails here.
 TS_MIN, TS_MAX = -(2**63) + 2, 2**63 - 2
 
 
@@ -55,38 +50,9 @@ def edges_df(spark):
 
 
 @pytest.fixture(scope="module")
-def gq_df(spark, edges_df):
-    return quick_ubg_dataflow(spark, edges_df, Q).localCheckpoint(eager=True)
-
-
-def test_arrival_df_matches_fig3a(spark, edges_df):
-    got = {
-        int(r.v): int(r.arrival)
-        for r in arrival_times_df(spark, edges_df, S, T, TB, TE).collect()
-    }
-    assert got == EXPECTED_ARRIVAL
-
-
-def test_departure_df_matches_fig3b(spark, edges_df):
-    got = {
-        int(r.v): int(r.departure)
-        for r in departure_times_df(spark, edges_df, S, T, TB, TE).collect()
-    }
-    assert got == EXPECTED_DEPARTURE
-
-
-def test_arrival_df_vs_duckdb_oracle(spark, edges_df):
-    df = arrival_times_df(spark, edges_df, S, T, TB, TE)
-    assert_equivalent(
-        df, arrival_sql(S, T, TB, TE), edges=edges_to_pdf(EDGES)
-    )
-
-
-def test_departure_df_vs_duckdb_oracle(spark, edges_df):
-    df = departure_times_df(spark, edges_df, S, T, TB, TE)
-    assert_equivalent(
-        df, departure_sql(S, T, TB, TE), edges=edges_to_pdf(EDGES)
-    )
+def gq(spark, edges_df):
+    """The dataflow's Gq: the kernel's, on the collected window."""
+    return quick_ubg_dataflow(spark, edges_df, Q)
 
 
 def test_projection_vs_duckdb_oracle(spark, edges_df):
@@ -98,28 +64,26 @@ def test_projection_vs_duckdb_oracle(spark, edges_df):
     )
 
 
-def test_quick_ubg_df_matches_fig3c(gq_df):
-    assert spark_edges_to_list(gq_df) == EXPECTED_GQ
+def test_quick_ubg_dataflow_matches_fig3c(gq):
+    assert gq.edges == EXPECTED_GQ
 
 
-def test_quick_ubg_df_filter_semantics(spark, edges_df):
-    # Same result when A/D are fed in as plain label tables.
-    a = spark.createDataFrame(
-        [(k, v) for k, v in EXPECTED_ARRIVAL.items()], "v long, arrival long"
+def test_quick_ubg_dataflow_starts_one_job(spark, edges_df):
+    # Spark only projects the window; the driver collects it in one job and
+    # runs the kernel's QuickUBG on it.
+    gq, jobs = _in_group(
+        spark, "quick-ubg-jobs", lambda: quick_ubg_dataflow(spark, edges_df, Q)
     )
-    d = spark.createDataFrame(
-        [(k, v) for k, v in EXPECTED_DEPARTURE.items()], "v long, departure long"
-    )
-    assert spark_edges_to_list(quick_ubg_df(edges_df, a, d)) == EXPECTED_GQ
+    assert gq.edges == EXPECTED_GQ and len(jobs) == 1
 
 
-def test_tight_ubg_dataflow_matches_fig4c(spark, gq_df):
-    gt = tight_ubg_dataflow(spark, gq_df, Q)
+def test_tight_ubg_dataflow_matches_fig4c(spark, gq):
+    gt = tight_ubg_dataflow(spark, gq, Q)
     assert gt.edges == EXPECTED_GT
 
 
-def test_eev_df_matches_fig1c(spark, gq_df):
-    gt = tight_ubg_dataflow(spark, gq_df, Q)
+def test_eev_df_matches_fig1c(spark, gq):
+    gt = tight_ubg_dataflow(spark, gq, Q)
     tspg = eev_df(spark, gt, S, T, TB, TE)
     assert spark_edges_to_list(tspg) == EXPECTED_TSPG
 
@@ -129,9 +93,9 @@ def test_vug_dataflow_end_to_end(spark, edges_df):
     assert spark_edges_to_list(tspg) == EXPECTED_TSPG
 
 
-def test_eev_df_starts_no_job(spark, gq_df):
+def test_eev_df_starts_no_job(spark, gq):
     # EEV runs on the driver's Gt; its tspG is lifted, not computed, by Spark.
-    gt = tight_ubg_dataflow(spark, gq_df, Q)
+    gt = tight_ubg_dataflow(spark, gq, Q)
     _, jobs = _in_group(
         spark, "eev-df-jobs", lambda: eev_df(spark, gt, S, T, TB, TE)
     )
@@ -154,9 +118,9 @@ def test_vug_dataflow_result_collects_in_one_job(spark, edges_df):
         (EDGES, Query(S, T, TB, TB)),  # one-timestamp window
         # Both Gt edges are Lemma-2 pre-verified: no edge escapes.
         ([(0, 1, 1), (1, 2, 2)], Query(0, 2, 1, 2)),
-        # An out-of-window edge at the int64 floor must not be negated.
+        # An out-of-window edge at the int64 floor stays out of the window.
         ([(5, 6, -(2**63)), (0, 1, 1), (1, 2, 2)], Query(0, 2, 1, 2)),
-        # The widest window whose sentinels all fit in int64.
+        # The widest window the dataflow accepts.
         (
             [(5, 6, -(2**63)), (0, 1, TS_MIN), (1, 2, TS_MAX),
              (5, 6, 2**63 - 1)],
@@ -190,26 +154,9 @@ def test_vug_dataflow_refuses_bad_query(spark, bad):
     ids=["tb-below", "te-above"],
 )
 def test_vug_dataflow_refuses_window_beyond_int64(spark, q):
-    # τb − 1, τe + 1 and, on Gᴿ, −τb + 1 are int64 literals in the plan.
     df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 2, 2)]))
     _assert_refused_without_jobs(
         spark, "int64-window", lambda: vug_dataflow(spark, df, q)
-    )
-
-
-@pytest.mark.parametrize(
-    "polarity_df", [arrival_times_df, departure_times_df],
-    ids=["arrival", "departure"],
-)
-@pytest.mark.parametrize(
-    "tb, te", [(-(2**63), 2), (1, 2**63 - 1)], ids=["tb-int64-min", "te-int64-max"]
-)
-def test_polarity_df_refuses_window_beyond_int64(spark, polarity_df, tb, te):
-    df = edges_to_spark(spark, edges_to_pdf([(0, 1, 1), (1, 2, 2)]))
-    _assert_refused_without_jobs(
-        spark,
-        f"int64-window-{polarity_df.__name__}-{tb}-{te}",
-        lambda: polarity_df(spark, df, 0, 2, tb, te),
     )
 
 

@@ -1,14 +1,8 @@
-"""Distributed dataflow vs local kernel on random small graphs, plus DuckDB
+"""Dataflow vs local kernel on random small graphs, plus DuckDB
 recursive-CTE oracle checks of the end-to-end tspG."""
 import numpy as np
 import pytest
 
-from repro.core.polarity import (
-    arrival_times,
-    arrival_times_df,
-    departure_times,
-    departure_times_df,
-)
 from repro.core.quick_ubg import quick_ubg
 from repro.core.tight_ubg import tight_ubg
 from repro.core.vug import quick_ubg_dataflow, tight_ubg_dataflow, vug_dataflow, vug_local
@@ -46,29 +40,13 @@ def _case(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_polarity_dataflow_equals_kernel(spark, seed):
-    pdf, adj, q = _case(seed)
-    edf = edges_to_spark(spark, pdf)
-    a_df = {
-        int(r.v): int(r.arrival)
-        for r in arrival_times_df(spark, edf, q.s, q.t, q.tb, q.te).collect()
-    }
-    d_df = {
-        int(r.v): int(r.departure)
-        for r in departure_times_df(spark, edf, q.s, q.t, q.tb, q.te).collect()
-    }
-    assert a_df == arrival_times(adj, q.s, q.t, q.tb, q.te)
-    assert d_df == departure_times(adj, q.s, q.t, q.tb, q.te)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_quick_and_tight_dataflow_equal_kernel(spark, seed):
     pdf, adj, q = _case(seed)
     edf = edges_to_spark(spark, pdf)
-    gq_df = quick_ubg_dataflow(spark, edf, q).localCheckpoint(eager=True)
+    gq_flow = quick_ubg_dataflow(spark, edf, q)
     gq = quick_ubg(adj, q.s, q.t, q.tb, q.te)
-    assert spark_edges_to_list(gq_df) == gq.edges
-    gt = tight_ubg_dataflow(spark, gq_df, q)
+    assert gq_flow.edges == gq.edges
+    gt = tight_ubg_dataflow(spark, gq_flow, q)
     assert gt.edges == tight_ubg(gq, q.s, q.t).edges
 
 

@@ -40,6 +40,36 @@ class TestSchema:
         out = canonical_edges_pdf(pdf)
         assert out["src"].tolist() == [1, 3]
 
+    @pytest.mark.parametrize(
+        "edges, column, value",
+        [
+            ([(0, 1, 2.5)], "ts", "2.5"),
+            ([(0, 1, float("nan"))], "ts", "nan"),
+            ([(0, 2**63, 1)], "dst", str(2**63)),
+        ],
+        ids=["fraction", "nan", "past-int64"],
+    )
+    def test_canonical_refuses_value_int64_would_change(self, edges, column, value):
+        with pytest.raises(ValueError, match=f"column {column} holds {value}"):
+            edges_to_pdf(edges)
+
+    def test_canonical_refuses_bool_column(self):
+        pdf = pd.DataFrame({"src": [True], "dst": [False], "ts": [1]})
+        with pytest.raises(ValueError, match="column src is bool"):
+            canonical_edges_pdf(pdf)
+
+    def test_canonical_keeps_integral_values_of_other_dtypes(self):
+        pdf = pd.DataFrame(
+            {
+                "src": [1.0, 2.0],
+                "dst": pd.Series([2, 3], dtype="uint8"),
+                "ts": [-(2**63), 5],
+            }
+        )
+        out = canonical_edges_pdf(pdf)
+        assert list(out.dtypes) == ["int64"] * 3
+        assert out.values.tolist() == [[1, 2, -(2**63)], [2, 3, 5]]
+
     def test_round_trip_edge_list(self):
         edges = [(1, 2, 3), (2, 3, 4)]
         assert pdf_to_edge_list(edges_to_pdf(edges)) == edges

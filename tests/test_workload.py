@@ -217,7 +217,7 @@ class TestSameStreamAsScan:
         "edges",
         [
             [(1, 1, 5), (2, 2, 5)],  # self loops reach nothing
-            [(3, -1, 4), (-1, 2, 6)],  # −1 is never a target
+            [(3, -1, 4), (-1, 2, 6)],  # −1 is a vertex like any other
             [(1, 2, 3), (2, 3, 3), (3, 4, 3)],  # equal τ do not chain
             [(1, 2, 3), (2, 1, 4), (1, 3, 5)],  # edges into s
         ],
@@ -229,6 +229,11 @@ class TestSameStreamAsScan:
         assert _outcome(generate_queries, adj, **kw) == _outcome(
             scan_generate_queries, adj, **kw
         )
+
+    def test_vertex_minus_one_is_a_target(self):
+        adj = TemporalAdjacency([(3, -1, 4), (-1, 2, 6)])
+        qs = generate_queries(adj, theta=3, n_queries=20, seed=5)
+        assert {q.t for q in qs if q.s == 3} == {-1, 2}
 
     def test_wide_theta_on_sparse_timestamps_allocates_by_edges(self):
         g = np.random.default_rng(3)
