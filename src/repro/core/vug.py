@@ -8,7 +8,7 @@ projects the edge DataFrame onto the query window, and the driver collects
 that slice in one job.  The kernel's QuickUBG, TightUBG and EEV run on it
 on the driver, and the tspG is lifted into a DataFrame once, at the end.
 QuickUBG is one O(n+m) scan that the kernel does in milliseconds; as
-Catalyst label rounds it took up to θ Spark rounds and seconds per query.
+Catalyst label rounds it takes up to θ Spark rounds and seconds per query.
 """
 from __future__ import annotations
 
